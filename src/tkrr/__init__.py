@@ -9,7 +9,6 @@ into benchmark tables.
 """
 
 from .aggregate import (
-    AewModel,
     AggregateModel,
     AggregationParams,
     CandidateSet,
@@ -18,6 +17,7 @@ from .aggregate import (
     empirical_risk,
     hyper_sparse_aggregate,
     model_predict,
+    prepare_candidates,
     rank_contrasts,
     sa_tkrr,
     split_uniform,
@@ -47,16 +47,15 @@ from .kernels import (
     KernelConfig,
     RepresenterFunction,
     SpdSolveError,
+    WeightedSum,
     gram_matrix,
     kernel_eval,
     rkhs_norm_diff,
     spd_solve,
 )
 from .krr import (
-    KrrModel,
     LambdaSchedule,
     fit_krr,
-    predict,
     schedule_lambda_debias,
     schedule_lambda_source,
 )
@@ -71,12 +70,10 @@ from .synthetic import (
 )
 from .transfer import (
     SourceCollection,
-    TransferModel,
     fit_ah_tkrr,
-    fit_ah_tkrr_wd,
     fit_debias,
     fit_pooled,
-    predict_transfer,
+    fit_two_step,
 )
 
 __version__ = "0.1.0"

@@ -3,15 +3,22 @@
 The target sample is split in half. On the first half each source gets a
 contrast score, the RKHS distance between its own KRR fit and the
 target-only fit; ranking the scores induces nested candidate source sets
-and one two-step fit per set. On the second half a hyper-sparse
-aggregation picks a convex pair of candidates: an empirical-risk winner on
-one sub-half, a margin rule that keeps near-winners, and a closed-form
-mixing weight fitted on the other sub-half. Exponential weighting over the
-same candidates is provided as a softer alternative.
+and one two-step fit per set (prepare_candidates runs these stages once,
+so SA and exponential weighting can share them). On the second half a
+hyper-sparse aggregation picks a convex pair of candidates: an
+empirical-risk winner on one sub-half, a margin rule that keeps
+near-winners, and a closed-form mixing weight fitted on the other sub-half.
+Exponential weighting over the same candidates is provided as a softer
+alternative.
+
+Every fitted model is a callable on covariate rows: a RepresenterFunction
+(candidate 0, target-only KRR), a WeightedSum (the two-step candidates and
+the exponentially weighted mixture) or the AggregateModel pair record.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,26 +26,24 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .kernels import Dataset, KernelConfig, RepresenterFunction, rkhs_norm_diff
+from .kernels import Dataset, KernelConfig, WeightedSum, rkhs_norm_diff
 from .krr import (
-    KrrModel,
     LambdaSchedule,
     fit_krr,
-    predict,
     schedule_lambda_debias,
     schedule_lambda_source,
 )
-from .transfer import SourceCollection, TransferModel, fit_ah_tkrr, predict_transfer
+from .transfer import SourceCollection, fit_ah_tkrr
 
 __all__ = [
     "AggregationParams",
     "CandidateSet",
     "AggregateModel",
-    "AewModel",
     "model_predict",
     "split_uniform",
     "rank_contrasts",
     "build_candidates",
+    "prepare_candidates",
     "empirical_risk",
     "hyper_sparse_aggregate",
     "sa_tkrr",
@@ -114,7 +119,10 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class AggregateModel:
-    """Convex pair f = weight * candidates[idx_a] + (1 - weight) * candidates[idx_b]."""
+    """Convex pair f = weight * candidates[idx_a] + (1 - weight) * candidates[idx_b].
+
+    Only the candidates with nonzero weight are evaluated.
+    """
 
     idx_a: int
     idx_b: int
@@ -128,40 +136,14 @@ class AggregateModel:
             if not 0 <= idx < len(self.candidates):
                 raise ValueError(f"candidate index {idx} out of range")
 
-
-@dataclass(frozen=True)
-class AewModel:
-    """Exponentially weighted mixture of all candidates."""
-
-    weights: NDArray[np.float64]
-    candidates: tuple
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (len(self.candidates),):
-            raise ValueError("one weight per candidate required")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "candidates", tuple(self.candidates))
+    def __call__(self, x: NDArray) -> NDArray[np.float64]:
+        pair = (self.candidates[self.idx_a], self.candidates[self.idx_b])
+        return WeightedSum(pair, (self.weight, 1.0 - self.weight))(x)
 
 
 def model_predict(model, x: NDArray) -> NDArray[np.float64]:
-    """Evaluate any fitted model type at new covariate rows."""
-    if isinstance(model, KrrModel):
-        return predict(model, x)
-    if isinstance(model, TransferModel):
-        return predict_transfer(model, x)
-    if isinstance(model, AggregateModel):
-        pa = model_predict(model.candidates[model.idx_a], x)
-        pb = model_predict(model.candidates[model.idx_b], x)
-        return model.weight * pa + (1.0 - model.weight) * pb
-    if isinstance(model, AewModel):
-        out = np.zeros(np.asarray(x).shape[0])
-        for w, f in zip(model.weights, model.candidates):
-            out += w * model_predict(f, x)
-        return out
-    if isinstance(model, RepresenterFunction) or callable(model):
-        return np.asarray(model(x), dtype=np.float64)
-    raise TypeError(f"cannot predict with {type(model).__name__}")
+    """Evaluate a fitted model, or any callable on covariate rows, at x."""
+    return np.asarray(model(x), dtype=np.float64)
 
 
 def split_uniform(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -210,7 +192,7 @@ def rank_contrasts(
     norms = np.empty(len(sources))
     for j, src in enumerate(sources):
         fk = fit_krr(src, schedule_lambda_source(src.n, schedules), cfg)
-        norms[j] = rkhs_norm_diff(fk.function, f0.function)
+        norms[j] = rkhs_norm_diff(fk, f0)
     order = np.argsort(norms, kind="stable")
     ranks = np.empty(len(sources), dtype=np.int64)
     ranks[order] = np.arange(1, len(sources) + 1)
@@ -221,6 +203,27 @@ def rank_contrasts(
 
 def _plug_in_h(norms: NDArray[np.float64], subset: tuple[int, ...]) -> float:
     return float(max(norms[k - 1] for k in subset))
+
+
+def _fit_candidate(
+    level: int,
+    target: Dataset,
+    sources: Sequence[Dataset],
+    ranked: CandidateSet,
+    schedules: LambdaSchedule,
+    cfg: KernelConfig,
+):
+    # Candidate `level` of build_candidates, fitted on `target` (T1, or the
+    # full sample on a refit) with ridges for its size.
+    if level == 0:
+        return fit_krr(target, schedule_lambda_source(target.n, schedules), cfg)
+    subset = ranked.nested_sets[level]
+    coll = SourceCollection(sources=tuple(sources), transferable=subset)
+    lam1 = schedule_lambda_source(coll.n_transferable + target.n, schedules)
+    lam2 = schedule_lambda_debias(
+        target.n, _plug_in_h(ranked.contrast_norms, subset), schedules
+    )
+    return fit_ah_tkrr(target, coll, lam1, lam2, cfg)
 
 
 def build_candidates(
@@ -236,20 +239,28 @@ def build_candidates(
     lowest-contrast sources and runs the two-step fit, with the debias
     ridge using the plug-in offset max contrast within the set.
     """
-    candidates: list = [fit_krr(t1, schedule_lambda_source(t1.n, schedules), cfg)]
-    for subset in ranked.nested_sets[1:]:
-        coll = SourceCollection(sources=tuple(sources), transferable=subset)
-        lam1 = schedule_lambda_source(coll.n_transferable + t1.n, schedules)
-        lam2 = schedule_lambda_debias(
-            t1.n, _plug_in_h(ranked.contrast_norms, subset), schedules
-        )
-        candidates.append(fit_ah_tkrr(t1, coll, lam1, lam2, cfg))
-    return CandidateSet(
-        contrast_norms=ranked.contrast_norms,
-        ranks=ranked.ranks,
-        nested_sets=ranked.nested_sets,
-        candidates=tuple(candidates),
+    candidates = tuple(
+        _fit_candidate(level, t1, sources, ranked, schedules, cfg)
+        for level in range(ranked.m + 1)
     )
+    return dataclasses.replace(ranked, candidates=candidates)
+
+
+def prepare_candidates(
+    target: Dataset,
+    sources: Sequence[Dataset],
+    params: AggregationParams,
+    schedules: LambdaSchedule,
+    cfg: KernelConfig,
+) -> tuple[Dataset, CandidateSet]:
+    """Split the target in half with split_seed, then rank and build on the first half.
+
+    Returns the second half, on which candidates are aggregated, and the
+    candidate set.
+    """
+    t1, t2 = split_uniform(target, 0.5, params.split_seed)
+    ranked = rank_contrasts(t1, sources, schedules, cfg)
+    return t2, build_candidates(t1, sources, ranked, schedules, cfg)
 
 
 def empirical_risk(model, data: Dataset) -> float:
@@ -317,61 +328,39 @@ def hyper_sparse_aggregate(
     return AggregateModel(idx_a=a, idx_b=b, weight=t, candidates=tuple(candidates))
 
 
-def _refit_full(
-    idx: int,
-    target: Dataset,
-    sources: Sequence[Dataset],
-    cs: CandidateSet,
-    schedules: LambdaSchedule,
-    cfg: KernelConfig,
-):
-    if idx == 0:
-        return fit_krr(target, schedule_lambda_source(target.n, schedules), cfg)
-    subset = cs.nested_sets[idx]
-    coll = SourceCollection(sources=tuple(sources), transferable=subset)
-    lam1 = schedule_lambda_source(coll.n_transferable + target.n, schedules)
-    lam2 = schedule_lambda_debias(
-        target.n, _plug_in_h(cs.contrast_norms, subset), schedules
-    )
-    return fit_ah_tkrr(target, coll, lam1, lam2, cfg)
-
-
 def sa_tkrr(
     target: Dataset,
     sources: Sequence[Dataset],
     params: AggregationParams,
     schedules: LambdaSchedule,
     cfg: KernelConfig,
+    prepared: tuple[Dataset, CandidateSet] | None = None,
 ) -> AggregateModel:
     """Full pipeline: split, rank, build candidates, aggregate.
 
     The target is split in half with split_seed; ranking and candidate
     fitting run on the first half, aggregation on the second (whose own
-    sub-split reuses split_seed on different rows). With retrain on, the
-    two chosen candidates are refit on the full target sample at schedules
-    recomputed for the full size, keeping the T1 contrast estimates for the
-    plug-in offset and the mixing weight unchanged.
+    sub-split reuses split_seed on different rows). `prepared` passes in
+    prepare_candidates' result for these same arguments when it has already
+    been computed. With retrain on, the chosen candidates with nonzero
+    weight are refit on the full target sample at schedules recomputed for
+    the full size, keeping the T1 contrast estimates for the plug-in offset
+    and the mixing weight unchanged.
     """
     if target.n < 4:
         raise ValueError(f"need at least 4 target rows, got {target.n}")
-    t1, t2 = split_uniform(target, 0.5, params.split_seed)
-    ranked = rank_contrasts(t1, sources, schedules, cfg)
-    cs = build_candidates(t1, sources, ranked, schedules, cfg)
+    t2, cs = prepared or prepare_candidates(target, sources, params, schedules, cfg)
     agg = hyper_sparse_aggregate(cs.candidates, t2, params)
     if not params.retrain:
         return agg
     refit = list(agg.candidates)
-    for idx in {agg.idx_a, agg.idx_b}:
-        refit[idx] = _refit_full(idx, target, sources, cs, schedules, cfg)
-    return AggregateModel(
-        idx_a=agg.idx_a,
-        idx_b=agg.idx_b,
-        weight=agg.weight,
-        candidates=tuple(refit),
-    )
+    for idx, w in ((agg.idx_a, agg.weight), (agg.idx_b, 1.0 - agg.weight)):
+        if w != 0.0:
+            refit[idx] = _fit_candidate(idx, target, sources, cs, schedules, cfg)
+    return dataclasses.replace(agg, candidates=tuple(refit))
 
 
-def aew_aggregate(candidates: Sequence, t2: Dataset, temperature: float) -> AewModel:
+def aew_aggregate(candidates: Sequence, t2: Dataset, temperature: float) -> WeightedSum:
     """Exponential weights w_l proportional to exp(-n * risk_l / temperature)."""
     if not candidates:
         raise ValueError("need at least one candidate")
@@ -382,4 +371,4 @@ def aew_aggregate(candidates: Sequence, t2: Dataset, temperature: float) -> AewM
     logits -= logits.max()
     w = np.exp(logits)
     w /= w.sum()
-    return AewModel(weights=w, candidates=tuple(candidates))
+    return WeightedSum(parts=tuple(candidates), weights=w)

@@ -99,7 +99,8 @@ def scan_categories(configs: Sequence[StudyConfig]) -> dict[str, tuple[str, ...]
         for c in cat_cols:
             bucket = levels.setdefault(c, set())
             for r in rows:
-                v = r[idx[c]].strip()
+                # A row cut short before this column is dropped by load_csv.
+                v = r[idx[c]].strip() if idx[c] < len(r) else ""
                 if v:
                     bucket.add(v)
     return {c: tuple(sorted(s)) for c, s in levels.items()}

@@ -34,11 +34,9 @@ except ImportError:  # pragma: no cover
 from .aggregate import (
     AggregationParams,
     aew_aggregate,
-    build_candidates,
     model_predict,
-    rank_contrasts,
+    prepare_candidates,
     sa_tkrr,
-    split_uniform,
 )
 from .csvio import write_csv
 from .datasets import (
@@ -57,7 +55,7 @@ from .krr import (
 )
 from .rng import derive_seed
 from .synthetic import SimSpec, gen_scenario, gen_test
-from .transfer import SourceCollection, fit_ah_tkrr, fit_ah_tkrr_wd
+from .transfer import SourceCollection, fit_pooled, fit_two_step
 
 __all__ = [
     "METHODS",
@@ -293,6 +291,12 @@ def _real_cell(config: ExperimentConfig, value, cell_seed: int):
     return train, tuple(sources), transferable, test.x, test.y
 
 
+def _once(shared: dict, key, fit):
+    if key not in shared:
+        shared[key] = fit()
+    return shared[key]
+
+
 def _fit_method(
     method: str,
     target: Dataset,
@@ -300,7 +304,16 @@ def _fit_method(
     transferable: tuple[int, ...],
     config: ExperimentConfig,
     cell_seed: int,
+    shared: dict | None = None,
 ):
+    """Fit one method on one cell's data.
+
+    `shared` holds the stages that methods of the same cell have in common,
+    so each is fitted once: the pooled fit, keyed by its source set
+    (AhTKRR_WD is AhTKRR's pooled step alone), and SA's split, ranking and
+    candidate set, which AEW aggregates differently.
+    """
+    shared = {} if shared is None else shared
     sched, cfg = config.schedules, config.kernel
     lam0 = schedule_lambda_source(target.n, sched)
     if method == "KRR":
@@ -310,27 +323,29 @@ def _fit_method(
         idx = tuple(range(1, len(sources) + 1)) if method == "Pooled_TKRR" else transferable
         coll = SourceCollection(sources=sources, transferable=idx)
         lam1 = schedule_lambda_source(coll.n_transferable + target.n, sched)
+        pooled = _once(shared, ("pooled", idx), lambda: fit_pooled(target, coll, lam1, cfg))
         if method == "AhTKRR_WD":
-            return fit_ah_tkrr_wd(target, coll, lam1, cfg)
+            return pooled
         # Offset magnitude defaults to 1 when the transferable set is taken
         # as given rather than estimated.
         lam2 = schedule_lambda_debias(target.n, 1.0, sched)
-        return fit_ah_tkrr(target, coll, lam1, lam2, cfg)
+        return fit_two_step(target, pooled, lam2, cfg)
 
+    if method not in ("SA_TKRR", "AEW_TKRR"):
+        raise ValueError(f"unknown method {method!r}")
     live = [s for s in sources if s.n > 0]
     params = dataclasses.replace(
         config.aggregation,
         split_seed=derive_seed(config.aggregation.split_seed, cell_seed),
     )
+    prepared = _once(
+        shared, "candidates", lambda: prepare_candidates(target, live, params, sched, cfg)
+    )
     if method == "SA_TKRR":
-        return sa_tkrr(target, live, params, sched, cfg)
-    if method == "AEW_TKRR":
-        t1, t2 = split_uniform(target, 0.5, params.split_seed)
-        ranked = rank_contrasts(t1, live, sched, cfg)
-        cs = build_candidates(t1, live, ranked, sched, cfg)
-        temperature = max(2.0 * float(np.var(t2.y)), 1e-12)
-        return aew_aggregate(cs.candidates, t2, temperature)
-    raise ValueError(f"unknown method {method!r}")
+        return sa_tkrr(target, live, params, sched, cfg, prepared)
+    t2, cs = prepared
+    temperature = max(2.0 * float(np.var(t2.y)), 1e-12)
+    return aew_aggregate(cs.candidates, t2, temperature)
 
 
 def _run_cell(config: ExperimentConfig, v_index: int, rep: int) -> list[ResultRow]:
@@ -343,11 +358,12 @@ def _run_cell(config: ExperimentConfig, v_index: int, rep: int) -> list[ResultRo
             data = _real_cell(config, value, cell_seed)
         target, sources, transferable, x_test, reference = data
         rows = []
+        shared: dict = {}
         for method in config.methods:
             t0 = time.perf_counter()
             try:
                 model = _fit_method(
-                    method, target, sources, transferable, config, cell_seed
+                    method, target, sources, transferable, config, cell_seed, shared
                 )
                 err = prediction_error(model, x_test, reference)
             except (SpdSolveError, np.linalg.LinAlgError, ValueError):

@@ -2,8 +2,9 @@
 
 Everything downstream (ridge fits, transfer steps, aggregation) reduces to
 Gram-matrix assembly plus symmetric positive definite solves, so those two
-primitives live here together with the representer-form function type and
-the RKHS norm of a difference of two such functions.
+primitives live here together with the two fitted-function types (one
+representer-form expansion, and a weighted sum of fitted functions) and the
+RKHS norm of a difference of two expansions.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "KernelConfig",
     "Dataset",
     "RepresenterFunction",
+    "WeightedSum",
     "SpdSolveError",
     "kernel_eval",
     "gram_matrix",
@@ -117,6 +119,37 @@ class RepresenterFunction:
 
     def __call__(self, x: NDArray) -> NDArray[np.float64]:
         return gram_matrix(self.kernel, _as_matrix(x), self.anchors) @ self.coefficients
+
+
+@dataclass(frozen=True)
+class WeightedSum:
+    """Fitted function f(x) = sum_l weights_l * parts_l(x), summed in part order.
+
+    Parts are any fitted functions, weighted sums included, and each part is
+    evaluated whole: w * (pooled + debias) is never expanded into
+    w * pooled + w * debias. A part with weight 0 is not evaluated and a
+    weight of 1 multiplies nothing, so the sum of two parts with unit weights
+    is exactly parts_0(x) + parts_1(x).
+    """
+
+    parts: tuple
+    weights: NDArray[np.float64]
+
+    def __post_init__(self) -> None:
+        w = np.asarray(self.weights, dtype=np.float64)
+        if w.shape != (len(self.parts),):
+            raise ValueError(f"{len(self.parts)} parts but weights of shape {w.shape}")
+        object.__setattr__(self, "parts", tuple(self.parts))
+        object.__setattr__(self, "weights", w)
+
+    def __call__(self, x: NDArray) -> NDArray[np.float64]:
+        out = None
+        for w, f in zip(self.weights, self.parts):
+            if w == 0.0:
+                continue
+            term = f(x) if w == 1.0 else w * f(x)
+            out = term if out is None else out + term
+        return np.zeros(_as_matrix(x).shape[0]) if out is None else out
 
 
 def kernel_eval(cfg: KernelConfig, a: NDArray, b: NDArray) -> float:

@@ -13,15 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .kernels import Dataset, KernelConfig, RepresenterFunction, gram_matrix, spd_solve
 
 __all__ = [
-    "KrrModel",
     "LambdaSchedule",
     "fit_krr",
-    "predict",
     "schedule_lambda_source",
     "schedule_lambda_debias",
 ]
@@ -29,15 +26,6 @@ __all__ = [
 # Plug-in similarity estimates can collapse to zero on easy scenarios; the
 # debias schedule floors them so the exponent never blows up.
 H_FLOOR = 1e-3
-
-
-@dataclass(frozen=True)
-class KrrModel:
-    """A fitted ridge regressor: representer function plus fit metadata."""
-
-    function: RepresenterFunction
-    ridge: float
-    sample_size: int
 
 
 @dataclass(frozen=True)
@@ -62,7 +50,7 @@ class LambdaSchedule:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
 
-def fit_krr(data: Dataset, ridge: float, cfg: KernelConfig) -> KrrModel:
+def fit_krr(data: Dataset, ridge: float, cfg: KernelConfig) -> RepresenterFunction:
     """Fit KRR on one dataset; anchors are exactly the training covariates."""
     if not ridge > 0:
         raise ValueError(f"ridge must be positive, got {ridge}")
@@ -71,13 +59,7 @@ def fit_krr(data: Dataset, ridge: float, cfg: KernelConfig) -> KrrModel:
     k = gram_matrix(cfg, data.x)
     a = k + data.n * ridge * np.eye(data.n)
     beta = spd_solve(a, data.y)
-    fn = RepresenterFunction(anchors=data.x, coefficients=beta, kernel=cfg)
-    return KrrModel(function=fn, ridge=float(ridge), sample_size=data.n)
-
-
-def predict(model: KrrModel, x: NDArray) -> NDArray[np.float64]:
-    """Evaluate the fitted function at new covariate rows."""
-    return model.function(x)
+    return RepresenterFunction(anchors=data.x, coefficients=beta, kernel=cfg)
 
 
 def schedule_lambda_source(n: int, schedule: LambdaSchedule) -> float:

@@ -2,9 +2,9 @@
 
 Step one pools the target sample with the transferable sources and fits
 KRR at the source-rate ridge; step two fits KRR at the debias-rate ridge
-on the target residuals of the pooled fit. The estimator is their sum.
-The no-debias variant keeps step one and replaces step two with the zero
-function, which is what ablations compare against.
+on the target residuals of the pooled fit. The estimator is their sum, a
+WeightedSum of the two fits with unit weights. The no-debias ablation is
+step one alone, the pooled fit.
 """
 
 from __future__ import annotations
@@ -12,19 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
-from .kernels import Dataset, KernelConfig, RepresenterFunction
-from .krr import KrrModel, fit_krr, predict
+from .kernels import Dataset, KernelConfig, RepresenterFunction, WeightedSum
+from .krr import fit_krr
 
 __all__ = [
     "SourceCollection",
-    "TransferModel",
     "fit_pooled",
     "fit_debias",
+    "fit_two_step",
     "fit_ah_tkrr",
-    "fit_ah_tkrr_wd",
-    "predict_transfer",
 ]
 
 
@@ -62,16 +59,6 @@ class SourceCollection:
         return sum(self.sources[i - 1].n for i in self.transferable)
 
 
-@dataclass(frozen=True)
-class TransferModel:
-    """Fitted two-step estimator: pooled fit plus debias fit."""
-
-    pooled: KrrModel
-    debias: KrrModel
-    lambda1: float
-    lambda2: float
-
-
 def _pooled_dataset(target: Dataset, sources: SourceCollection) -> Dataset:
     if sources.sources and sources.sources[0].d != target.d:
         raise ValueError(
@@ -85,7 +72,7 @@ def _pooled_dataset(target: Dataset, sources: SourceCollection) -> Dataset:
 
 def fit_pooled(
     target: Dataset, sources: SourceCollection, lambda1: float, cfg: KernelConfig
-) -> KrrModel:
+) -> RepresenterFunction:
     """Fit KRR on the target concatenated with the transferable sources.
 
     With an empty transferable set this runs the same concatenation and fit
@@ -95,11 +82,18 @@ def fit_pooled(
 
 
 def fit_debias(
-    target: Dataset, pooled: KrrModel, lambda2: float, cfg: KernelConfig
-) -> KrrModel:
+    target: Dataset, pooled: RepresenterFunction, lambda2: float, cfg: KernelConfig
+) -> RepresenterFunction:
     """Fit KRR on the target residuals y - pooled(x)."""
-    w = target.y - predict(pooled, target.x)
+    w = target.y - pooled(target.x)
     return fit_krr(Dataset(x=target.x, y=w), lambda2, cfg)
+
+
+def fit_two_step(
+    target: Dataset, pooled: RepresenterFunction, lambda2: float, cfg: KernelConfig
+) -> WeightedSum:
+    """Debias a pooled fit on the target: pooled + fit_debias(...), in that order."""
+    return WeightedSum((pooled, fit_debias(target, pooled, lambda2, cfg)), (1.0, 1.0))
 
 
 def fit_ah_tkrr(
@@ -108,33 +102,6 @@ def fit_ah_tkrr(
     lambda1: float,
     lambda2: float,
     cfg: KernelConfig,
-) -> TransferModel:
+) -> WeightedSum:
     """Two-step fit: pooled step at lambda1, debias step at lambda2."""
-    pooled = fit_pooled(target, sources, lambda1, cfg)
-    debias = fit_debias(target, pooled, lambda2, cfg)
-    return TransferModel(
-        pooled=pooled, debias=debias, lambda1=float(lambda1), lambda2=float(lambda2)
-    )
-
-
-def fit_ah_tkrr_wd(
-    target: Dataset, sources: SourceCollection, lambda1: float, cfg: KernelConfig
-) -> TransferModel:
-    """No-debias ablation: pooled step only, debias is the zero function.
-
-    The zero function is stored as zero coefficients on the target anchors
-    so the prediction path is identical to the full estimator's.
-    """
-    pooled = fit_pooled(target, sources, lambda1, cfg)
-    zero = RepresenterFunction(
-        anchors=target.x, coefficients=np.zeros(target.n), kernel=cfg
-    )
-    debias = KrrModel(function=zero, ridge=float(lambda1), sample_size=target.n)
-    return TransferModel(
-        pooled=pooled, debias=debias, lambda1=float(lambda1), lambda2=0.0
-    )
-
-
-def predict_transfer(model: TransferModel, x: NDArray) -> NDArray[np.float64]:
-    """Evaluate pooled(x) + debias(x); additivity holds exactly."""
-    return predict(model.pooled, x) + predict(model.debias, x)
+    return fit_two_step(target, fit_pooled(target, sources, lambda1, cfg), lambda2, cfg)

@@ -87,7 +87,7 @@ class TestCriterion1:
             d2 = (x[:, None, :] - x[None, :, :]) ** 2
             gram = np.exp(-d2.sum(axis=-1))
             oracle = np.linalg.solve(gram + x.shape[0] * lam * np.eye(x.shape[0]), y)
-            got = fit_krr(Dataset(x=x, y=y), lam, cfg).function.coefficients
+            got = fit_krr(Dataset(x=x, y=y), lam, cfg).coefficients
             worst_coef = max(worst_coef, float(np.max(np.abs(got - oracle))))
         ok_coef = worst_coef < 1e-8
 

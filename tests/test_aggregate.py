@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from tkrr import aggregate
 from tkrr.aggregate import (
-    AewModel,
     AggregateModel,
     AggregationParams,
     CandidateSet,
@@ -13,13 +13,13 @@ from tkrr.aggregate import (
     empirical_risk,
     hyper_sparse_aggregate,
     model_predict,
+    prepare_candidates,
     rank_contrasts,
     sa_tkrr,
     split_uniform,
 )
-from tkrr.kernels import Dataset, KernelConfig, RepresenterFunction
+from tkrr.kernels import Dataset, KernelConfig, RepresenterFunction, WeightedSum
 from tkrr.krr import (
-    KrrModel,
     LambdaSchedule,
     fit_krr,
     schedule_lambda_debias,
@@ -27,7 +27,7 @@ from tkrr.krr import (
 )
 from tkrr.rng import derive_seed
 from tkrr.synthetic import SimSpec, gen_scenario
-from tkrr.transfer import TransferModel
+from tkrr.transfer import SourceCollection, fit_debias, fit_pooled
 
 N_CASES = 100
 CFG = KernelConfig(bandwidth=0.5)
@@ -135,21 +135,32 @@ class TestRankContrasts:
 
 class TestBuildCandidates:
     def test_structure_and_ridges(self):
+        # Ridges are checked by refitting each step at its schedule value:
+        # the candidate must match bit for bit.
         rng = np.random.default_rng(407)
         t1 = _dataset(rng, 12)
         sources = [_dataset(rng, n) for n in (6, 9, 7)]
         ranked = rank_contrasts(t1, sources, SCHED, CFG)
         cs = build_candidates(t1, sources, ranked, SCHED, CFG)
         assert len(cs.candidates) == 4
-        assert isinstance(cs.candidates[0], KrrModel)
-        assert cs.candidates[0].ridge == schedule_lambda_source(12, SCHED)
+        krr = cs.candidates[0]
+        assert isinstance(krr, RepresenterFunction)
+        expect = fit_krr(t1, schedule_lambda_source(12, SCHED), CFG)
+        assert np.array_equal(krr.coefficients, expect.coefficients)
         for level, model in enumerate(cs.candidates[1:], start=1):
-            assert isinstance(model, TransferModel)
+            assert isinstance(model, WeightedSum)
+            assert model.weights.tolist() == [1.0, 1.0]
+            pooled, debias = model.parts
             subset = cs.nested_sets[level]
+            coll = SourceCollection(sources=tuple(sources), transferable=subset)
             n_pool = 12 + sum(sources[k - 1].n for k in subset)
-            assert model.lambda1 == schedule_lambda_source(n_pool, SCHED)
+            lam1 = schedule_lambda_source(n_pool, SCHED)
+            want = fit_pooled(t1, coll, lam1, CFG)
+            assert np.array_equal(pooled.coefficients, want.coefficients)
             h = max(cs.contrast_norms[k - 1] for k in subset)
-            assert model.lambda2 == schedule_lambda_debias(12, h, SCHED)
+            lam2 = schedule_lambda_debias(12, h, SCHED)
+            want = fit_debias(t1, pooled, lam2, CFG)
+            assert np.array_equal(debias.coefficients, want.coefficients)
 
     def test_candidate_count_validation(self):
         with pytest.raises(ValueError):
@@ -299,13 +310,54 @@ class TestSaTkrr:
         assert (with_retrain.idx_a, with_retrain.weight) == (without.idx_a, without.weight)
 
         def target_rows(model):
+            # Target rows are the anchors of the target-only fit, or of the
+            # debias step of a two-step candidate.
             inner = model.candidates[model.idx_a]
-            if isinstance(inner, TransferModel):
-                return inner.debias.sample_size
-            return inner.sample_size
+            if isinstance(inner, WeightedSum):
+                inner = inner.parts[1]
+            return inner.anchors.shape[0]
 
         assert target_rows(without) == 10  # fitted on the T1 half
         assert target_rows(with_retrain) == 20  # refitted on everything
+
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
+    def test_refits_only_the_weighted_candidate(self, monkeypatch, weight):
+        rng = np.random.default_rng(423)
+        target = _dataset(rng, 20)
+        sources = [_dataset(rng, 10) for _ in range(2)]
+        params = AggregationParams(split_seed=4)
+        prepared = prepare_candidates(target, sources, params, SCHED, CFG)
+        fit_candidate = aggregate._fit_candidate
+        refits = []
+
+        def pick_pair(candidates, t2, params):
+            return AggregateModel(idx_a=1, idx_b=2, weight=weight, candidates=tuple(candidates))
+
+        def counted(level, *args):
+            refits.append(level)
+            return fit_candidate(level, *args)
+
+        monkeypatch.setattr(aggregate, "hyper_sparse_aggregate", pick_pair)
+        monkeypatch.setattr(aggregate, "_fit_candidate", counted)
+        model = sa_tkrr(target, sources, params, SCHED, CFG, prepared)
+        used = 1 if weight == 1.0 else 2
+        assert refits == [used]
+        assert (model.idx_a, model.idx_b, model.weight) == (1, 2, weight)
+        chosen = fit_candidate(used, target, sources, prepared[1], SCHED, CFG)
+        xq = rng.random((6, 1))
+        assert np.array_equal(model_predict(model, xq), chosen(xq))
+
+    def test_shared_candidates_match_own(self):
+        rng = np.random.default_rng(424)
+        target = _dataset(rng, 22)
+        sources = [_dataset(rng, 12) for _ in range(3)]
+        params = AggregationParams(split_seed=6)
+        prepared = prepare_candidates(target, sources, params, SCHED, CFG)
+        a = sa_tkrr(target, sources, params, SCHED, CFG)
+        b = sa_tkrr(target, sources, params, SCHED, CFG, prepared)
+        assert (a.idx_a, a.idx_b, a.weight) == (b.idx_a, b.idx_b, b.weight)
+        xq = rng.random((5, 1))
+        assert np.array_equal(a(xq), b(xq))
 
     def test_needs_four_rows(self):
         rng = np.random.default_rng(417)
@@ -364,9 +416,25 @@ class TestModelTypes:
             AggregateModel(idx_a=2, idx_b=0, weight=0.5, candidates=(f,))
 
     def test_aew_model_validation(self):
+        # The AEW mixture is a WeightedSum, which needs one weight per part.
         f = RepresenterFunction(np.zeros((1, 1)), np.ones(1), CFG)
         with pytest.raises(ValueError):
-            AewModel(weights=np.array([0.5, 0.5]), candidates=(f,))
+            WeightedSum(parts=(f,), weights=np.array([0.5, 0.5]))
+
+    def test_weighted_sum_skips_zero_weights_and_keeps_nesting(self):
+        rng = np.random.default_rng(425)
+        f, g, h = (_function(rng) for _ in range(3))
+        inner = WeightedSum((f, g), (1.0, 1.0))
+        xq = rng.random((7, 1))
+        assert np.array_equal(inner(xq), f(xq) + g(xq))
+        outer = WeightedSum((inner, h), (0.3, 0.7))
+        assert np.array_equal(outer(xq), 0.3 * (f(xq) + g(xq)) + 0.7 * h(xq))
+
+        def broken(x):
+            raise AssertionError("a zero-weight part was evaluated")
+
+        assert np.array_equal(WeightedSum((broken, h), (0.0, 1.0))(xq), h(xq))
+        assert np.array_equal(WeightedSum((f, broken), (0.0, 0.0))(xq), np.zeros(7))
 
     def test_model_predict_rejects_unknown(self):
         with pytest.raises(TypeError):

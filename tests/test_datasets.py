@@ -82,6 +82,18 @@ class TestCategorical:
         assert target.d == 3 and sources[0].d == 3
         np.testing.assert_array_equal(sources[0].x, [[0, 0, 1]])
 
+    def test_row_cut_short_before_categorical_column_is_dropped(self, tmp_path, caplog):
+        path = write(tmp_path, "t.csv", "a,g,y\n1,x,2\n3\n4,z,5\n")
+        cfg = StudyConfig(
+            path=path, feature_columns=("a", "categorical:g"), response_column="y",
+            role="target",
+        )
+        with caplog.at_level(logging.INFO):
+            target, sources = load_studies([cfg])
+        assert target.n == 2 and sources == ()
+        np.testing.assert_array_equal(target.x, [[1, 1, 0], [4, 0, 1]])
+        assert "dropped 1" in caplog.text
+
     def test_unseen_level_encodes_all_zero(self, tmp_path):
         path = write(tmp_path, "a.csv", "g,y\nz,1\n")
         cfg = StudyConfig(path=path, feature_columns=("categorical:g",), response_column="y")

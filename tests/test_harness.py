@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from tkrr import harness
 from tkrr.aggregate import AggregationParams
+from tkrr.datasets import StudyConfig
 from tkrr.harness import (
+    METHODS,
     ExperimentConfig,
     ResultRow,
     SummaryRow,
@@ -18,9 +22,10 @@ from tkrr.harness import (
     summarize,
 )
 from tkrr.kernels import KernelConfig, RepresenterFunction
-from tkrr.krr import LambdaSchedule
+from tkrr.krr import LambdaSchedule, schedule_lambda_source
 from tkrr.rng import derive_seed
-from tkrr.synthetic import SimSpec
+from tkrr.synthetic import SimSpec, gen_scenario, scenario_to_csv
+from tkrr.transfer import SourceCollection, fit_pooled
 
 N_CASES = 100
 
@@ -141,6 +146,91 @@ class TestRunSweep:
         ah = [r.test_error for r in rows if r.method == "AhTKRR"]
         pooled = [r.test_error for r in rows if r.method == "Pooled_TKRR"]
         assert ah == pooled
+
+
+def _errors_by_method(cfg, methods):
+    rows = run_sweep(dataclasses.replace(cfg, methods=methods), threads=1)
+    out = {m: [r.test_error for r in rows if r.method == m] for m in methods}
+    assert not any(math.isnan(e) for errs in out.values() for e in errs)
+    return out
+
+
+class TestSharedStages:
+    """Stages shared within a cell are fitted once and change no result."""
+
+    def _assert_order_free(self, cfg, methods):
+        together = _errors_by_method(cfg, methods)
+        backwards = _errors_by_method(cfg, methods[::-1])
+        for m in methods:
+            alone = _errors_by_method(cfg, (m,))[m]
+            assert together[m] == alone == backwards[m], m
+
+    def test_sharing_changes_no_result_synthetic(self):
+        cfg = tiny_config(sweep_values=(0.1, 0.3), fixed=(("a_h", 2),))
+        self._assert_order_free(cfg, METHODS)
+
+    def test_sharing_changes_no_result_csv(self, tmp_path):
+        spec = SimSpec(example="ex1", s=0.2, m=3, n0=60, n_k=40)
+        target, sources, _, _ = gen_scenario(spec, seed=17)
+        paths = scenario_to_csv(target, sources, tmp_path)
+        studies = tuple(
+            StudyConfig(
+                path=str(path), feature_columns=("x1",), response_column="y",
+                role="target" if k == 0 else "source",
+            )
+            for k, path in enumerate(paths)
+        )
+        cfg = ExperimentConfig(
+            scenario=studies,
+            methods=("KRR",),
+            sweep_name="n_ah",
+            sweep_values=(20, 40),
+            replications=2,
+            seed=8,
+            schedules=LambdaSchedule(scale=0.1),
+            kernel=KernelConfig(bandwidth=0.5),
+            fixed=(("n0", 30),),
+        )
+        self._assert_order_free(cfg, ("SA_TKRR", "AEW_TKRR"))
+
+    def test_each_shared_stage_fits_once(self, monkeypatch):
+        calls = {"pooled": 0, "candidates": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(harness, "fit_pooled", counting("pooled", harness.fit_pooled))
+        monkeypatch.setattr(
+            harness, "prepare_candidates",
+            counting("candidates", harness.prepare_candidates),
+        )
+        cfg = tiny_config(
+            methods=METHODS, sweep_values=(0.1,), replications=1, fixed=(("a_h", 2),)
+        )
+        run_sweep(cfg, threads=1)
+        # one pooled fit for A_h = (1, 2), one for all sources; one candidate set
+        assert calls == {"pooled": 2, "candidates": 1}
+
+    def test_no_debias_row_is_the_pooled_fit(self):
+        cfg = tiny_config(fixed=(("a_h", 2),))
+        cell_seed = derive_seed(cfg.seed, 0, 0)
+        target, sources, transferable, x_test, _ = harness._synthetic_cell(
+            cfg, cfg.sweep_values[0], cell_seed
+        )
+        shared = {}
+        fit = [
+            harness._fit_method(m, target, sources, transferable, cfg, cell_seed, shared)
+            for m in ("AhTKRR", "AhTKRR_WD")
+        ]
+        assert fit[1] is fit[0].parts[0]
+        alone = harness._fit_method("AhTKRR_WD", target, sources, transferable, cfg, cell_seed)
+        coll = SourceCollection(sources=sources, transferable=transferable)
+        lam1 = schedule_lambda_source(coll.n_transferable + target.n, cfg.schedules)
+        own = fit_pooled(target, coll, lam1, cfg.kernel)
+        assert np.array_equal(alone(x_test), own(x_test))
 
 
 class TestRealDataSweep:

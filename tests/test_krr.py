@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from tkrr.kernels import Dataset, KernelConfig, gram_matrix
+from tkrr.kernels import Dataset, KernelConfig, gram_matrix, spd_solve
 from tkrr.krr import (
     H_FLOOR,
     LambdaSchedule,
     fit_krr,
-    predict,
     schedule_lambda_debias,
     schedule_lambda_source,
 )
@@ -27,8 +26,8 @@ class TestFitOracles:
         # (K + n*lambda) beta = y with K = [[1]], n = 1: beta = 2 / 1.5
         ds = Dataset(x=np.array([[0.0]]), y=np.array([2.0]))
         model = fit_krr(ds, 0.5, KernelConfig(bandwidth=1.0))
-        assert model.function.coefficients[0] == pytest.approx(4.0 / 3.0, abs=1e-12)
-        assert predict(model, [[0.0]])[0] == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert model.coefficients[0] == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert model([[0.0]])[0] == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     def test_two_point_closed_form(self):
         # A = [[2, e^-1], [e^-1, 2]] (n*lambda = 1), invert by hand
@@ -36,7 +35,7 @@ class TestFitOracles:
         model = fit_krr(ds, 0.5, KernelConfig(bandwidth=1.0))
         a = np.exp(-1.0)
         expect = np.array([2.0, -a]) / (4.0 - a * a)
-        np.testing.assert_allclose(model.function.coefficients, expect, atol=1e-8)
+        np.testing.assert_allclose(model.coefficients, expect, atol=1e-8)
 
     def test_three_point_direct_solve(self):
         ds = Dataset(x=np.array([[0.0], [0.5], [1.0]]), y=np.array([1.0, -1.0, 2.0]))
@@ -44,7 +43,7 @@ class TestFitOracles:
         model = fit_krr(ds, 0.2, cfg)
         a = gram_matrix(cfg, ds.x) + 3 * 0.2 * np.eye(3)
         np.testing.assert_allclose(
-            model.function.coefficients, np.linalg.solve(a, ds.y), atol=1e-8
+            model.coefficients, np.linalg.solve(a, ds.y), atol=1e-8
         )
 
     def test_matches_direct_solve(self):
@@ -56,7 +55,7 @@ class TestFitOracles:
             model = fit_krr(ds, lam, cfg)
             a = gram_matrix(cfg, ds.x) + ds.n * lam * np.eye(ds.n)
             expect = np.linalg.solve(a, ds.y)
-            assert np.max(np.abs(model.function.coefficients - expect)) <= 1e-8 * (
+            assert np.max(np.abs(model.coefficients - expect)) <= 1e-8 * (
                 1.0 + np.max(np.abs(ds.y))
             )
 
@@ -70,7 +69,7 @@ class TestFitInvariants:
             lam = float(rng.uniform(0.005, 1.0))
             model = fit_krr(ds, lam, cfg)
             a = gram_matrix(cfg, ds.x) + ds.n * lam * np.eye(ds.n)
-            resid = np.max(np.abs(a @ model.function.coefficients - ds.y))
+            resid = np.max(np.abs(a @ model.coefficients - ds.y))
             assert resid <= 1e-8 * (1.0 + np.max(np.abs(ds.y)))
 
     def test_rkhs_norm_nonincreasing_in_ridge(self):
@@ -83,7 +82,7 @@ class TestFitInvariants:
             k = gram_matrix(cfg, ds.x)
             sq = []
             for lam in (lo, hi):
-                beta = fit_krr(ds, lam, cfg).function.coefficients
+                beta = fit_krr(ds, lam, cfg).coefficients
                 sq.append(beta @ k @ beta)
             assert sq[1] <= sq[0] + 1e-10
 
@@ -96,22 +95,26 @@ class TestFitInvariants:
             x = (np.arange(n) + rng.uniform(0.2, 0.8, size=n))[:, None]
             y = rng.normal(size=n)
             model = fit_krr(Dataset(x=x, y=y), 1e-10, KernelConfig(bandwidth=0.1))
-            assert np.max(np.abs(predict(model, x) - y)) <= 1e-4
+            assert np.max(np.abs(model(x) - y)) <= 1e-4
 
     def test_deterministic(self):
         rng = np.random.default_rng(205)
         ds = random_dataset(rng)
         cfg = KernelConfig(bandwidth=0.9)
-        a = fit_krr(ds, 0.1, cfg).function.coefficients
-        b = fit_krr(ds, 0.1, cfg).function.coefficients
+        a = fit_krr(ds, 0.1, cfg).coefficients
+        b = fit_krr(ds, 0.1, cfg).coefficients
         assert np.array_equal(a, b)
 
     def test_metadata(self):
-        ds = Dataset(x=np.zeros((2, 1)), y=np.ones(2))
-        model = fit_krr(ds, 0.3, KernelConfig())
-        assert model.ridge == 0.3
-        assert model.sample_size == 2
-        assert np.array_equal(model.function.anchors, ds.x)
+        # The fit is its representer function: anchors are the n training
+        # rows, and the ridge is the one the coefficients were solved at.
+        ds = Dataset(x=np.array([[0.0], [0.4]]), y=np.array([1.0, -1.0]))
+        cfg = KernelConfig()
+        model = fit_krr(ds, 0.3, cfg)
+        assert np.array_equal(model.anchors, ds.x)
+        assert model.anchors.shape[0] == 2
+        a = gram_matrix(cfg, ds.x) + 2 * 0.3 * np.eye(2)
+        assert np.array_equal(model.coefficients, spd_solve(a, ds.y))
 
     def test_bad_ridge(self):
         ds = Dataset(x=np.zeros((2, 1)), y=np.ones(2))
