@@ -33,7 +33,7 @@ from .harness import (
     config_from_json,
     config_to_dict,
 )
-from .synthetic import SimSpec, scenario_to_csv
+from .synthetic import scenario_to_csv
 
 log = logging.getLogger(__name__)
 
@@ -53,12 +53,8 @@ def _cmd_simulate(args) -> int:
     config = _load_config(args, out_is_dir=True)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if args.dump_data and isinstance(config.scenario, SimSpec):
-        from .rng import derive_seed
-        from .synthetic import gen_scenario
-
-        seed = derive_seed(config.seed, 0, 0)
-        target, sources, _, _ = gen_scenario(config.scenario, seed=seed)
+    if args.dump_data:
+        _, target, sources, _, _, _ = harness.build_cell(config, 0, 0)
         scenario_to_csv(target, sources, out / "data")
         print(f"wrote scenario CSVs to {out / 'data'}")
     rows = harness.run_sweep(config, threads=args.threads)
@@ -73,21 +69,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _first_cell(config: ExperimentConfig):
-    from .rng import derive_seed
-
-    cell_seed = derive_seed(config.seed, 0, 0)
-    value = config.sweep_values[0]
-    if isinstance(config.scenario, SimSpec):
-        return harness._synthetic_cell(config, value, cell_seed), cell_seed
-    return harness._real_cell(config, value, cell_seed), cell_seed
-
-
 def _cmd_fit(args) -> int:
     config = _load_config(args)
     if args.method not in METHODS:
         raise SystemExit(f"unknown method {args.method!r}, want one of {METHODS}")
-    (target, sources, transferable, x_test, reference), cell_seed = _first_cell(config)
+    cell_seed, target, sources, transferable, x_test, reference = harness.build_cell(config, 0, 0)
     model = harness._fit_method(
         args.method, target, sources, transferable, config, cell_seed
     )
@@ -101,11 +87,10 @@ def _cmd_fit(args) -> int:
 
 def _cmd_rank(args) -> int:
     config = _load_config(args)
-    (target, sources, _, _, _), _ = _first_cell(config)
-    live = [s for s in sources if s.n > 0]
-    ranked = rank_contrasts(target, live, config.schedules, config.kernel)
+    _, target, sources, _, _, _ = harness.build_cell(config, 0, 0)
+    ranked = rank_contrasts(target, sources, config.schedules, config.kernel)
     print(f"{'source':>6}  {'n':>6}  {'contrast':>12}  {'rank':>4}")
-    for k, src in enumerate(live, start=1):
+    for k, src in enumerate(sources, start=1):
         print(
             f"{k:>6}  {src.n:>6}  {ranked.contrast_norms[k - 1]:>12.6f}"
             f"  {int(ranked.ranks[k - 1]):>4}"

@@ -1,13 +1,14 @@
 """Sweep runner: configs in, result and summary tables out.
 
 An experiment is a scenario (synthetic spec or CSV-backed studies), a set
-of methods, and one swept parameter. Every (sweep value, replication)
-cell derives its own seed as hash(base_seed, value_index, replication),
-generates or loads its data, fits each method, and scores it on the held
-out test set. Cells are independent, so replications fan out over a
-process pool; rows are sorted afterwards, making output identical for any
-worker count. BLAS pools are pinned to one thread inside each cell, which
-keeps floating-point results bitwise stable across machines' core counts.
+of methods, and one swept parameter. CSV studies load once per sweep.
+Every (sweep value, replication) cell derives its own seed as
+hash(base_seed, value_index, replication), generates its data or
+subsamples the loaded studies, fits each method, and scores it on the
+held out test set. Cells are independent, so replications fan out over a
+process pool; rows are sorted afterwards, making output byte-identical
+for any worker count on one host. Each cell asks for one BLAS thread,
+which takes effect only when threadpoolctl can be imported.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ __all__ = [
     "ExperimentConfig",
     "ResultRow",
     "SummaryRow",
+    "build_cell",
     "config_from_json",
     "config_to_dict",
     "prediction_error",
@@ -267,14 +269,13 @@ def _synthetic_cell(config: ExperimentConfig, value, cell_seed: int):
     return target, sources, transferable, x_test, reference
 
 
-def _real_cell(config: ExperimentConfig, value, cell_seed: int):
-    target_cfgs = [c for c in config.scenario if c.role == "target"]
-    target_full, sources_full = load_studies(config.scenario)
+def _real_cell(config: ExperimentConfig, value, cell_seed: int, studies):
+    target_full, sources_full = studies
     name = config.sweep_name
     n0 = int(value) if name == "n0" else int(config.fixed_value("n0", target_full.n // 2))
     n_ah = int(value) if name == "n_ah" else config.fixed_value("n_ah")
     train, test = subsample_split(target_full, n0, derive_seed(cell_seed, 0))
-    if target_cfgs[0].standardize:
+    if next(c for c in config.scenario if c.role == "target").standardize:
         std = fit_standardizer(train)
         train, test = apply_standardizer(std, train), apply_standardizer(std, test)
 
@@ -283,12 +284,28 @@ def _real_cell(config: ExperimentConfig, value, cell_seed: int):
     for k, (src, cfg) in enumerate(zip(sources_full, src_cfgs), start=1):
         take = src.n if n_ah is None else min(int(n_ah), src.n)
         used = subsample_split(src, take, derive_seed(cell_seed, k))[0]
-        if cfg.standardize and used.n > 0:
-            used = apply_standardizer(fit_standardizer(used), used)
-        sources.append(used)
+        # A source with no rows adds nothing to any fit, so the cell drops it.
+        if used.n > 0:
+            if cfg.standardize:
+                used = apply_standardizer(fit_standardizer(used), used)
+            sources.append(used)
+    return train, tuple(sources), tuple(range(1, len(sources) + 1)), test.x, test.y
 
-    transferable = tuple(k for k, s in enumerate(sources, start=1) if s.n > 0)
-    return train, tuple(sources), transferable, test.x, test.y
+
+def build_cell(config: ExperimentConfig, v_index: int, rep: int, studies=None):
+    """One sweep cell: (cell_seed, target, sources, transferable, x_test, reference).
+
+    A synthetic cell draws its studies from the cell seed. A CSV cell subsamples
+    and standardizes `studies`, what `load_studies(config.scenario)` returns
+    (loaded here if not given).
+    """
+    value = config.sweep_values[v_index]
+    cell_seed = derive_seed(config.seed, v_index, rep)
+    if isinstance(config.scenario, SimSpec):
+        return (cell_seed, *_synthetic_cell(config, value, cell_seed))
+    if studies is None:
+        studies = load_studies(config.scenario)
+    return (cell_seed, *_real_cell(config, value, cell_seed, studies))
 
 
 def _once(shared: dict, key, fit):
@@ -333,30 +350,25 @@ def _fit_method(
 
     if method not in ("SA_TKRR", "AEW_TKRR"):
         raise ValueError(f"unknown method {method!r}")
-    live = [s for s in sources if s.n > 0]
     params = dataclasses.replace(
         config.aggregation,
         split_seed=derive_seed(config.aggregation.split_seed, cell_seed),
     )
     prepared = _once(
-        shared, "candidates", lambda: prepare_candidates(target, live, params, sched, cfg)
+        shared, "candidates", lambda: prepare_candidates(target, sources, params, sched, cfg)
     )
     if method == "SA_TKRR":
-        return sa_tkrr(target, live, params, sched, cfg, prepared)
+        return sa_tkrr(target, sources, params, sched, cfg, prepared)
     t2, cs = prepared
     temperature = max(2.0 * float(np.var(t2.y)), 1e-12)
     return aew_aggregate(cs.candidates, t2, temperature)
 
 
-def _run_cell(config: ExperimentConfig, v_index: int, rep: int) -> list[ResultRow]:
+def _run_cell(config: ExperimentConfig, v_index: int, rep: int, studies=None) -> list[ResultRow]:
     value = config.sweep_values[v_index]
-    cell_seed = derive_seed(config.seed, v_index, rep)
     with _limit_blas():
-        if isinstance(config.scenario, SimSpec):
-            data = _synthetic_cell(config, value, cell_seed)
-        else:
-            data = _real_cell(config, value, cell_seed)
-        target, sources, transferable, x_test, reference = data
+        cell = build_cell(config, v_index, rep, studies)
+        cell_seed, target, sources, transferable, x_test, reference = cell
         rows = []
         shared: dict = {}
         for method in config.methods:
@@ -395,12 +407,14 @@ def resolve_threads(threads: int | None = None) -> int:
 def run_sweep(config: ExperimentConfig, threads: int | None = None) -> list[ResultRow]:
     """Run every (value, replication) cell and return sorted result rows.
 
+    CSV studies are loaded once here and handed to every cell.
     Rows sort by (method, value position, replication), so the table is
     identical no matter how cells were scheduled. A failed fit keeps its
     row with a blank test_error; the run continues.
     """
     if not isinstance(config.scenario, SimSpec) and config.sweep_name not in ("n0", "n_ah"):
         raise ValueError(f"sweep {config.sweep_name!r} needs a synthetic scenario")
+    studies = None if isinstance(config.scenario, SimSpec) else load_studies(config.scenario)
     n_threads = resolve_threads(threads)
     cells = [
         (vi, rep)
@@ -408,7 +422,7 @@ def run_sweep(config: ExperimentConfig, threads: int | None = None) -> list[Resu
         for rep in range(config.replications)
     ]
     if n_threads <= 1 or len(cells) <= 1:
-        per_cell = [_run_cell(config, vi, rep) for vi, rep in cells]
+        per_cell = [_run_cell(config, vi, rep, studies) for vi, rep in cells]
     else:
         with ProcessPoolExecutor(
             max_workers=n_threads,
@@ -421,6 +435,7 @@ def run_sweep(config: ExperimentConfig, threads: int | None = None) -> list[Resu
                     [config] * len(cells),
                     [vi for vi, _ in cells],
                     [rep for _, rep in cells],
+                    [studies] * len(cells),
                     chunksize=max(1, len(cells) // (4 * n_threads)),
                 )
             )

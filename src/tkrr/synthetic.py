@@ -60,7 +60,6 @@ class SimSpec:
     n0: int | None = None
     n_k: int | None = None
     n_te: int = 500
-    seed: int = 0
     fixed_shifts: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -158,7 +157,7 @@ def gen_study(spec: SimSpec, k: int, shift: float, rng: np.random.Generator) -> 
 
 
 def gen_scenario(
-    spec: SimSpec, seed: int | None = None
+    spec: SimSpec, seed: int
 ) -> tuple[Dataset, tuple[Dataset, ...], Callable[[NDArray], NDArray], tuple[float, ...]]:
     """Draw the full scenario: target, sources, true target function, shifts.
 
@@ -167,12 +166,11 @@ def gen_scenario(
     it), then covariates, then noise. Regular sources 1..m take shifts from
     U(0, s), the modified designs' last three from U(s, 0.4).
     """
-    base = spec.seed if seed is None else seed
-    target = gen_study(spec, 0, 0.0, philox_stream(base, TARGET_STREAM))
+    target = gen_study(spec, 0, 0.0, philox_stream(seed, TARGET_STREAM))
     sources = []
     shifts = []
     for k in range(1, spec.total_sources + 1):
-        rng = philox_stream(base, k)
+        rng = philox_stream(seed, k)
         if spec.fixed_shifts is not None:
             shift = spec.fixed_shifts[k - 1]
         elif k <= spec.m:
@@ -190,11 +188,10 @@ def gen_scenario(
 
 
 def gen_test(
-    spec: SimSpec, true_fn: Callable[[NDArray], NDArray], seed: int | None = None
+    spec: SimSpec, true_fn: Callable[[NDArray], NDArray], seed: int
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Noiseless evaluation grid from the dedicated test stream."""
-    base = spec.seed if seed is None else seed
-    rng = philox_stream(base, TEST_STREAM)
+    rng = philox_stream(seed, TEST_STREAM)
     x = rng.random((spec.n_te, spec.d))
     return x, np.asarray(true_fn(x), dtype=np.float64)
 

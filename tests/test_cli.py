@@ -9,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tkrr import harness
 from tkrr.cli import main
 from tkrr.kernels import KernelConfig, kernel_eval
+from tkrr.rng import derive_seed
+from tkrr.synthetic import SimSpec, gen_scenario, scenario_to_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -70,6 +73,19 @@ class TestSimulate:
         header = (data / "target.csv").read_text().splitlines()[0]
         assert header == "x1,y"
 
+    def test_dump_data_writes_the_first_cell(self, tmp_path):
+        # The first sweep value (m=1) is below the spec's m=3.
+        cfg = write_config(tmp_path, sweep={"name": "m", "values": [1, 2]})
+        main(["simulate", "--config", str(cfg), "--threads", "1", "--dump-data"])
+        data = tmp_path / "results" / "data"
+        spec = SimSpec(example="ex1", s=0.1, m=1, n0=40, n_k=30, n_te=50)
+        target, sources, _, _ = gen_scenario(spec, seed=derive_seed(11, 0, 0))
+        assert sorted(p.name for p in data.glob("source_*.csv")) == ["source_01.csv"]
+        for name, ds in (("target.csv", target), ("source_01.csv", sources[0])):
+            dumped = np.loadtxt(data / name, delimiter=",", skiprows=1, ndmin=2)
+            assert np.array_equal(dumped[:, :-1], ds.x)
+            assert np.array_equal(dumped[:, -1], ds.y)
+
     def test_seed_flag_changes_draws(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["simulate", "--config", str(cfg), "--threads", "1", "--out", str(tmp_path / "a")])
@@ -91,6 +107,70 @@ class TestSimulate:
         assert (tmp_path / "a" / "summary.csv").read_bytes() == (
             tmp_path / "b" / "summary.csv"
         ).read_bytes()
+
+
+def write_csv_studies(tmp_path):
+    """Generated studies with a categorical column, one semicolon file and bad rows."""
+    spec = SimSpec(example="ex1", s=0.2, m=3, n0=60, n_k=40)
+    target, sources, _, _ = gen_scenario(spec, seed=23)
+    paths = scenario_to_csv(target, sources, tmp_path / "studies")
+    for k, path in enumerate(paths):
+        header, *rows = path.read_text().splitlines()
+        rows = [f"{r},{('lo', 'mid', 'hi')[i % 3]}" for i, r in enumerate(rows)]
+        # a feature that does not parse, an empty category, a row cut short
+        rows += ["NA,0.5,lo", "0.5,1.0,", "0.25"]
+        text = "\n".join([header + ",g"] + rows) + "\n"
+        path.write_text(text.replace(",", ";") if k == 2 else text)
+    return paths
+
+
+class TestRealDataEndToEnd:
+    def test_simulate_is_deterministic_and_loads_once(self, tmp_path, monkeypatch):
+        paths = write_csv_studies(tmp_path)
+        assert ";" in paths[2].read_text().splitlines()[0]
+        cfg = tmp_path / "real.json"
+        cfg.write_text(json.dumps({
+            "scenario": [
+                {"path": str(p), "feature_columns": ["x1", "categorical:g"],
+                 "response_column": "y", "role": "target" if k == 0 else "source"}
+                for k, p in enumerate(paths)
+            ],
+            "methods": list(harness.METHODS),
+            "sweep": {"name": "n_ah", "values": [0, 25]},
+            "replications": 2,
+            "seed": 13,
+            "fixed": {"n0": 30},
+            "schedules": {"scale": 0.1},
+            "kernel": {"bandwidth": 0.5},
+        }))
+        # Three bad rows per study are dropped; g expands to three indicators.
+        target, sources = harness.load_studies(harness.config_from_json(cfg).scenario)
+        assert target.x.shape == (60, 4) and [s.x.shape for s in sources] == [(40, 4)] * 3
+        monkeypatch.delenv("TKRR_THREADS", raising=False)
+        loads = []
+        real_load = harness.load_studies
+        monkeypatch.setattr(
+            harness, "load_studies", lambda configs: loads.append(1) or real_load(configs)
+        )
+        outs = []
+        for run, threads in enumerate(("1", "1", "2")):
+            out = tmp_path / f"run{run}"
+            main(["simulate", "--config", str(cfg), "--threads", threads, "--out", str(out)])
+            assert len(loads) == run + 1  # one load per sweep, not per cell
+            outs.append(out)
+        results = [strip_wall(o / "results.csv") for o in outs]
+        summaries = [(o / "summary.csv").read_bytes() for o in outs]
+        assert results[0] == results[1] == results[2]
+        assert summaries[0] == summaries[1] == summaries[2]
+
+        rows = read_rows(outs[0] / "results.csv")
+        errors = {(r["method"], r["sweep_value"], r["replication"]): r["test_error"]
+                  for r in rows}
+        assert len(errors) == len(harness.METHODS) * 2 * 2
+        for rep in ("0", "1"):
+            # With n_ah = 0 every source is dropped: the pooled fit is KRR.
+            assert errors[("AhTKRR_WD", "0", rep)] == errors[("KRR", "0", rep)] != ""
+            assert all(errors[(m, "25", rep)] != "" for m in harness.METHODS)
 
 
 class TestFit:

@@ -7,7 +7,7 @@ import pytest
 
 from tkrr import harness
 from tkrr.aggregate import AggregationParams
-from tkrr.datasets import StudyConfig
+from tkrr.datasets import StudyConfig, load_studies
 from tkrr.harness import (
     METHODS,
     ExperimentConfig,
@@ -216,10 +216,7 @@ class TestSharedStages:
 
     def test_no_debias_row_is_the_pooled_fit(self):
         cfg = tiny_config(fixed=(("a_h", 2),))
-        cell_seed = derive_seed(cfg.seed, 0, 0)
-        target, sources, transferable, x_test, _ = harness._synthetic_cell(
-            cfg, cfg.sweep_values[0], cell_seed
-        )
+        cell_seed, target, sources, transferable, x_test, _ = harness.build_cell(cfg, 0, 0)
         shared = {}
         fit = [
             harness._fit_method(m, target, sources, transferable, cfg, cell_seed, shared)
@@ -262,6 +259,29 @@ class TestRealDataSweep:
         rows = run_sweep(cfg, threads=1)
         assert len(rows) == 12
         assert all(r.test_error >= 0 for r in rows)
+
+    def test_build_cell_uses_given_studies_and_drops_empty_sources(self, tmp_path):
+        spec = SimSpec(example="ex1", s=0.2, m=2, n0=40, n_k=30)
+        target, sources, _, _ = gen_scenario(spec, seed=4)
+        studies = tuple(
+            StudyConfig(path=str(path), feature_columns=("x1",), response_column="y",
+                        role="target" if k == 0 else "source")
+            for k, path in enumerate(scenario_to_csv(target, sources, tmp_path))
+        )
+        cfg = ExperimentConfig(
+            scenario=studies, methods=("KRR",), sweep_name="n_ah", sweep_values=(0, 10),
+            fixed=(("n0", 20),),
+        )
+        loaded = load_studies(studies)
+        for vi in (0, 1):
+            given = harness.build_cell(cfg, vi, 1, loaded)
+            own = harness.build_cell(cfg, vi, 1)
+            assert given[0] == own[0] == derive_seed(cfg.seed, vi, 1)
+            assert np.array_equal(given[1].x, own[1].x) and given[1].n == 20
+            # n_ah = 0 leaves both sources empty, so the cell drops them.
+            assert [s.n for s in given[2]] == [s.n for s in own[2]] == [[], [10, 10]][vi]
+            assert given[3] == own[3] == [(), (1, 2)][vi]
+            assert np.array_equal(given[4], own[4]) and np.array_equal(given[5], own[5])
 
     def test_synthetic_sweeps_rejected_for_real_data(self, tmp_path):
         from tkrr.datasets import StudyConfig
@@ -358,6 +378,14 @@ class TestConfigPlumbing:
             sweep_values=(10,),
         )
         assert config_from_json(config_to_dict(cfg)) == cfg
+
+    def test_scenario_seed_rejected(self):
+        # Cells draw from the config seed; a scenario seed would be ignored.
+        doc = config_to_dict(tiny_config())
+        assert "seed" not in doc["scenario"]
+        doc["scenario"]["seed"] = 4
+        with pytest.raises(TypeError, match="seed"):
+            config_from_json(doc)
 
     def test_sweep_name_normalization(self):
         assert tiny_config(sweep_name="|A_h|", sweep_values=(0,)).sweep_name == "a_h"
