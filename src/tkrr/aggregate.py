@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .kernels import Dataset, KernelConfig, WeightedSum, rkhs_norm_diff
+from .kernels import Dataset, KernelConfig, RepresenterFunction, WeightedSum, rkhs_norm_diff
 from .krr import (
     LambdaSchedule,
     fit_krr,
@@ -179,16 +179,19 @@ def rank_contrasts(
     sources: Sequence[Dataset],
     schedules: LambdaSchedule,
     cfg: KernelConfig,
+    target_fit: RepresenterFunction | None = None,
 ) -> CandidateSet:
     """Score and rank sources by contrast against the target-only fit.
 
     Each source gets its own KRR fit at the source-rate ridge for its
     sample size; the contrast is the RKHS distance to the target-only fit
-    on t1. Returns ranking fields only, with an empty candidate tuple.
+    on t1 (target_fit, if given). Returns ranking fields only, with an empty
+    candidate tuple.
     """
     if not sources:
         raise ValueError("need at least one source to rank")
-    f0 = fit_krr(t1, schedule_lambda_source(t1.n, schedules), cfg)
+    lam0 = schedule_lambda_source(t1.n, schedules)
+    f0 = fit_krr(t1, lam0, cfg) if target_fit is None else target_fit
     norms = np.empty(len(sources))
     for j, src in enumerate(sources):
         fk = fit_krr(src, schedule_lambda_source(src.n, schedules), cfg)
@@ -232,16 +235,18 @@ def build_candidates(
     ranked: CandidateSet,
     schedules: LambdaSchedule,
     cfg: KernelConfig,
+    target_fit: RepresenterFunction | None = None,
 ) -> CandidateSet:
     """Fit the m+1 candidate models induced by a ranking.
 
-    Candidate 0 is target-only KRR on t1; candidate l pools t1 with the l
-    lowest-contrast sources and runs the two-step fit, with the debias
-    ridge using the plug-in offset max contrast within the set.
+    Candidate 0 is target-only KRR on t1 (target_fit, if given); candidate l
+    pools t1 with the l lowest-contrast sources and runs the two-step fit, with
+    the debias ridge using the plug-in offset max contrast within the set.
     """
-    candidates = tuple(
+    first = () if target_fit is None else (target_fit,)
+    candidates = first + tuple(
         _fit_candidate(level, t1, sources, ranked, schedules, cfg)
-        for level in range(ranked.m + 1)
+        for level in range(len(first), ranked.m + 1)
     )
     return dataclasses.replace(ranked, candidates=candidates)
 
@@ -256,11 +261,14 @@ def prepare_candidates(
     """Split the target in half with split_seed, then rank and build on the first half.
 
     Returns the second half, on which candidates are aggregated, and the
-    candidate set.
+    candidate set. The target-only fit on T1 serves the ranking and is
+    candidate 0; with no sources it is the only candidate.
     """
     t1, t2 = split_uniform(target, 0.5, params.split_seed)
-    ranked = rank_contrasts(t1, sources, schedules, cfg)
-    return t2, build_candidates(t1, sources, ranked, schedules, cfg)
+    f0 = fit_krr(t1, schedule_lambda_source(t1.n, schedules), cfg)
+    unranked = CandidateSet(np.empty(0), np.empty(0, np.int64), ((),))
+    ranked = rank_contrasts(t1, sources, schedules, cfg, f0) if sources else unranked
+    return t2, build_candidates(t1, sources, ranked, schedules, cfg, f0)
 
 
 def empirical_risk(model, data: Dataset) -> float:

@@ -88,6 +88,9 @@ def _cmd_fit(args) -> int:
 def _cmd_rank(args) -> int:
     config = _load_config(args)
     _, target, sources, _, _, _ = harness.build_cell(config, 0, 0)
+    if not sources:
+        print("no sources to rank: the first cell has none")
+        return 0
     ranked = rank_contrasts(target, sources, config.schedules, config.kernel)
     print(f"{'source':>6}  {'n':>6}  {'contrast':>12}  {'rank':>4}")
     for k, src in enumerate(sources, start=1):

@@ -175,17 +175,22 @@ def gram_matrix(cfg: KernelConfig, x: NDArray, x2: NDArray | None = None) -> NDA
         raise ValueError(
             f"covariate dimensions differ: {xm.shape[1]} vs {x2m.shape[1]}"
         )
-    d2 = cdist(xm, x2m, "sqeuclidean")
-    return np.exp(-d2 / cfg.bandwidth)
+    k = cdist(xm, x2m, "sqeuclidean")
+    np.negative(k, out=k)
+    k /= cfg.bandwidth
+    return np.exp(k, out=k)
 
 
-def spd_solve(a: NDArray, b: NDArray) -> NDArray[np.float64]:
+def spd_solve(a: NDArray, b: NDArray, overwrite_a: bool = False) -> NDArray[np.float64]:
     """Solve A z = b for symmetric positive definite A by Cholesky.
 
     If the factorization fails (duplicate anchor rows at a tiny ridge can
     push the matrix to numerical semi-definiteness), one jitter of
     1e-10 * trace(A)/n is added to the diagonal and the solve is retried;
     a second failure raises SpdSolveError carrying the attempted jitter.
+
+    With overwrite_a, A (exactly symmetric, C-ordered float64) is factored
+    in place through its transpose, a Fortran-ordered view, and overwritten.
     """
     am = _as_matrix(a)
     bv = np.asarray(b, dtype=np.float64)
@@ -193,15 +198,24 @@ def spd_solve(a: NDArray, b: NDArray) -> NDArray[np.float64]:
         raise ValueError(f"matrix is not square: {am.shape}")
     if bv.shape[0] != am.shape[0]:
         raise ValueError(f"shape mismatch: A is {am.shape}, b has {bv.shape[0]} rows")
+    # LAPACK reads and writes the lower triangle of what it factors; the
+    # strict upper triangle and this copy of the diagonal survive a failure.
+    work = am.T if overwrite_a else am
+    diag = am.diagonal().copy()
     try:
-        c, low = cho_factor(am, lower=True, check_finite=False)
+        c, low = cho_factor(work, lower=True, overwrite_a=overwrite_a, check_finite=False)
     except np.linalg.LinAlgError:
         n = am.shape[0]
-        jitter = _JITTER_REL * float(np.trace(am)) / n
+        if overwrite_a:
+            for i in range(1, n):
+                work[i, :i] = work[:i, i]
+            work[np.diag_indices(n)] = diag
+        else:
+            work = np.array(am, order="F")
+        jitter = _JITTER_REL * float(np.trace(work)) / n
+        work[np.diag_indices(n)] += jitter
         try:
-            c, low = cho_factor(
-                am + jitter * np.eye(n), lower=True, check_finite=False
-            )
+            c, low = cho_factor(work, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SpdSolveError(
                 f"matrix not positive definite even with jitter {jitter:.3e}",

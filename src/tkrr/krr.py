@@ -56,9 +56,9 @@ def fit_krr(data: Dataset, ridge: float, cfg: KernelConfig) -> RepresenterFuncti
         raise ValueError(f"ridge must be positive, got {ridge}")
     if data.n < 1:
         raise ValueError("need at least one observation")
-    k = gram_matrix(cfg, data.x)
-    a = k + data.n * ridge * np.eye(data.n)
-    beta = spd_solve(a, data.y)
+    a = gram_matrix(cfg, data.x)
+    a[np.diag_indices(data.n)] += data.n * ridge
+    beta = spd_solve(a, data.y, overwrite_a=True)
     return RepresenterFunction(anchors=data.x, coefficients=beta, kernel=cfg)
 
 

@@ -37,6 +37,8 @@ from tkrr.krr import LambdaSchedule, fit_krr
 from tkrr.rng import derive_seed
 from tkrr.synthetic import SimSpec, gen_scenario
 
+pytestmark = pytest.mark.acceptance
+
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 

@@ -359,6 +359,40 @@ class TestSaTkrr:
         xq = rng.random((5, 1))
         assert np.array_equal(a(xq), b(xq))
 
+    def test_target_only_fit_is_solved_once(self, monkeypatch):
+        # The ranking's target-only fit on T1 is candidate 0; the other
+        # aggregate-level fits are one per source.
+        rng = np.random.default_rng(425)
+        target = _dataset(rng, 22)
+        sources = [_dataset(rng, 12) for _ in range(3)]
+        params = AggregationParams(split_seed=7)
+        fits = []
+        monkeypatch.setattr(
+            aggregate, "fit_krr", lambda data, *a: fits.append(data.n) or fit_krr(data, *a)
+        )
+        t2, cs = prepare_candidates(target, sources, params, SCHED, CFG)
+        assert fits == [11, 12, 12, 12]
+        t1, _ = split_uniform(target, 0.5, params.split_seed)
+        expect = fit_krr(t1, schedule_lambda_source(11, SCHED), CFG)
+        assert np.array_equal(cs.candidates[0].coefficients, expect.coefficients)
+
+    def test_no_sources_is_target_only_krr(self):
+        rng = np.random.default_rng(426)
+        target = _dataset(rng, 22)
+        params = AggregationParams(split_seed=8)
+        t2, cs = prepare_candidates(target, [], params, SCHED, CFG)
+        assert (cs.m, cs.nested_sets, len(cs.candidates)) == (0, ((),), 1)
+        t1, _ = split_uniform(target, 0.5, params.split_seed)
+        expect = fit_krr(t1, schedule_lambda_source(11, SCHED), CFG)
+        assert np.array_equal(cs.candidates[0].coefficients, expect.coefficients)
+        model = sa_tkrr(target, [], params, SCHED, CFG, (t2, cs))
+        assert (model.idx_a, model.idx_b, model.weight) == (0, 0, 1.0)
+        krr = fit_krr(target, schedule_lambda_source(22, SCHED), CFG)
+        xq = rng.random((5, 1))
+        assert np.array_equal(model(xq), krr(xq))
+        aew = aew_aggregate(cs.candidates, t2, temperature=1.0)
+        assert np.array_equal(aew(xq), cs.candidates[0](xq))
+
     def test_needs_four_rows(self):
         rng = np.random.default_rng(417)
         with pytest.raises(ValueError):

@@ -124,25 +124,30 @@ def write_csv_studies(tmp_path):
     return paths
 
 
+def write_real_config(tmp_path, paths, n_ah=(0, 25)):
+    cfg = tmp_path / "real.json"
+    cfg.write_text(json.dumps({
+        "scenario": [
+            {"path": str(p), "feature_columns": ["x1", "categorical:g"],
+             "response_column": "y", "role": "target" if k == 0 else "source"}
+            for k, p in enumerate(paths)
+        ],
+        "methods": list(harness.METHODS),
+        "sweep": {"name": "n_ah", "values": list(n_ah)},
+        "replications": 2,
+        "seed": 13,
+        "fixed": {"n0": 30},
+        "schedules": {"scale": 0.1},
+        "kernel": {"bandwidth": 0.5},
+    }))
+    return cfg
+
+
 class TestRealDataEndToEnd:
     def test_simulate_is_deterministic_and_loads_once(self, tmp_path, monkeypatch):
         paths = write_csv_studies(tmp_path)
         assert ";" in paths[2].read_text().splitlines()[0]
-        cfg = tmp_path / "real.json"
-        cfg.write_text(json.dumps({
-            "scenario": [
-                {"path": str(p), "feature_columns": ["x1", "categorical:g"],
-                 "response_column": "y", "role": "target" if k == 0 else "source"}
-                for k, p in enumerate(paths)
-            ],
-            "methods": list(harness.METHODS),
-            "sweep": {"name": "n_ah", "values": [0, 25]},
-            "replications": 2,
-            "seed": 13,
-            "fixed": {"n0": 30},
-            "schedules": {"scale": 0.1},
-            "kernel": {"bandwidth": 0.5},
-        }))
+        cfg = write_real_config(tmp_path, paths)
         # Three bad rows per study are dropped; g expands to three indicators.
         target, sources = harness.load_studies(harness.config_from_json(cfg).scenario)
         assert target.x.shape == (60, 4) and [s.x.shape for s in sources] == [(40, 4)] * 3
@@ -168,9 +173,12 @@ class TestRealDataEndToEnd:
                   for r in rows}
         assert len(errors) == len(harness.METHODS) * 2 * 2
         for rep in ("0", "1"):
-            # With n_ah = 0 every source is dropped: the pooled fit is KRR.
+            # With n_ah = 0 every source is dropped: the pooled fit is KRR,
+            # and SA's only candidate is target-only KRR, refit on all rows.
             assert errors[("AhTKRR_WD", "0", rep)] == errors[("KRR", "0", rep)] != ""
-            assert all(errors[(m, "25", rep)] != "" for m in harness.METHODS)
+            assert errors[("SA_TKRR", "0", rep)] == errors[("KRR", "0", rep)]
+            assert all(errors[(m, v, rep)] != "" for m in harness.METHODS for v in ("0", "25"))
+        assert all(r["n_failed"] == "0" for r in read_rows(outs[0] / "summary.csv"))
 
 
 class TestFit:
@@ -211,6 +219,12 @@ class TestRank:
         assert len(out) == 1 + 3
         ranks = sorted(int(ln.split()[-1]) for ln in out[1:])
         assert ranks == [1, 2, 3]
+
+    def test_cell_without_sources_prints_one_line(self, tmp_path, capsys):
+        cfg = write_real_config(tmp_path, write_csv_studies(tmp_path), n_ah=(0,))
+        assert main(["rank", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1 and "no sources" in out[0]
 
 
 class TestPlot:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from tkrr.kernels import (
     Dataset,
@@ -83,6 +84,15 @@ class TestGramMatrix:
         with pytest.raises(ValueError):
             gram_matrix(KernelConfig(), np.zeros((2, 2)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("d", [1, 10])
+    def test_equals_exp_of_cdist_bitwise(self, d):
+        rng = np.random.default_rng(104)
+        cfg = KernelConfig(bandwidth=0.7)
+        x, x2 = rng.normal(size=(57, d)), rng.normal(size=(23, d))
+        for other in (None, x2):
+            expect = np.exp(-cdist(x, x if other is None else other, "sqeuclidean") / 0.7)
+            assert np.array_equal(gram_matrix(cfg, x, other), expect)
+
 
 class TestSpdSolve:
     def test_closed_form_oracle(self):
@@ -114,6 +124,16 @@ class TestSpdSolve:
         with pytest.raises(SpdSolveError) as err:
             spd_solve(mat, np.array([1.0, 0.0]))
         assert err.value.jitter > 0
+
+    @pytest.mark.parametrize("semidefinite", [False, True])
+    def test_leaves_input_unchanged(self, semidefinite):
+        # The jitter path is taken when the rows repeat at a tiny ridge.
+        x = np.random.default_rng(105).normal(size=(40, 2))
+        mat = gram_matrix(KernelConfig(), np.concatenate([x, x]) if semidefinite else x)
+        mat += (1e-20 if semidefinite else 0.1) * np.eye(mat.shape[0])
+        before = mat.copy()
+        assert np.all(np.isfinite(spd_solve(mat, np.ones(mat.shape[0]))))
+        assert np.array_equal(mat, before)
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):

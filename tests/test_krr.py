@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tkrr import kernels
 from tkrr.kernels import Dataset, KernelConfig, gram_matrix, spd_solve
 from tkrr.krr import (
     H_FLOOR,
@@ -115,6 +116,32 @@ class TestFitInvariants:
         assert model.anchors.shape[0] == 2
         a = gram_matrix(cfg, ds.x) + 2 * 0.3 * np.eye(2)
         assert np.array_equal(model.coefficients, spd_solve(a, ds.y))
+
+    @pytest.mark.parametrize("n", [2, 65, 300, 700])
+    def test_in_place_system_matches_explicit_matrix(self, n):
+        # fit_krr builds and factors its system in one buffer; the sizes
+        # cover LAPACK's unblocked and blocked Cholesky.
+        rng = np.random.default_rng(206)
+        ds = Dataset(x=rng.normal(size=(n, 3)), y=rng.normal(size=n))
+        cfg = KernelConfig(bandwidth=1.7)
+        a = gram_matrix(cfg, ds.x) + n * 0.01 * np.eye(n)
+        assert np.array_equal(fit_krr(ds, 0.01, cfg).coefficients, spd_solve(a, ds.y))
+
+    def test_jitter_retry_in_place_matches_explicit_matrix(self, monkeypatch):
+        # 150 distinct rows, then the same rows again, at a ridge far below
+        # roundoff: the first factorization fails at row 151, after writing
+        # 150 columns of the factor over the system, and the retry succeeds.
+        rng = np.random.default_rng(207)
+        x = rng.normal(size=(150, 2))
+        ds = Dataset(x=np.concatenate([x, x]), y=rng.normal(size=300))
+        cfg = KernelConfig()
+        calls = []
+        real = kernels.cho_factor
+        monkeypatch.setattr(kernels, "cho_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
+        coef = fit_krr(ds, 1e-20, cfg).coefficients
+        assert len(calls) == 2
+        a = gram_matrix(cfg, ds.x) + 300 * 1e-20 * np.eye(300)
+        assert np.array_equal(coef, spd_solve(a, ds.y))
 
     def test_bad_ridge(self):
         ds = Dataset(x=np.zeros((2, 1)), y=np.ones(2))
