@@ -47,9 +47,10 @@ from .kernels import (
     KernelConfig,
     RepresenterFunction,
     SpdSolveError,
+    TooFewRowsError,
     WeightedSum,
     gram_matrix,
-    kernel_eval,
+    ridge_system,
     rkhs_norm_diff,
     spd_solve,
 )

@@ -26,7 +26,14 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .kernels import Dataset, KernelConfig, RepresenterFunction, WeightedSum, rkhs_norm_diff
+from .kernels import (
+    Dataset,
+    KernelConfig,
+    RepresenterFunction,
+    TooFewRowsError,
+    WeightedSum,
+    rkhs_norm_diff,
+)
 from .krr import (
     LambdaSchedule,
     fit_krr,
@@ -82,10 +89,10 @@ class CandidateSet:
 
     ranks is a permutation of 1..m (rank 1 = smallest contrast, ties broken
     by source index). nested_sets lists the m+1 induced source sets from
-    the empty set up to all sources, each in rank order, which is also the
-    pooling order of the corresponding candidate fit. candidates holds the
-    m+1 models (index 0 = target-only KRR) and may be empty on a
-    ranking-only result.
+    the empty set up to all sources, each in rank order. The candidate fit
+    of a set pools its sources in index order, so a pooled fit depends only
+    on the set and not on the ranking. candidates holds the m+1 models
+    (index 0 = target-only KRR) and may be empty on a ranking-only result.
     """
 
     contrast_norms: NDArray[np.float64]
@@ -155,16 +162,9 @@ def split_uniform(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, D
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie strictly in (0, 1), got {fraction}")
     if data.n < 2:
-        raise ValueError("need at least two rows to split")
+        raise TooFewRowsError("need at least two rows to split")
     n1 = int(math.floor(fraction * data.n + 0.5))
-    n1 = min(max(n1, 1), data.n - 1)
-    perm = np.random.default_rng(seed).permutation(data.n)
-    first = np.sort(perm[:n1])
-    second = np.sort(perm[n1:])
-    return (
-        Dataset(x=data.x[first], y=data.y[first]),
-        Dataset(x=data.x[second], y=data.y[second]),
-    )
+    return data.split(min(max(n1, 1), data.n - 1), seed)
 
 
 def _nested_sets(ranks: NDArray[np.int64]) -> tuple[tuple[int, ...], ...]:
@@ -204,10 +204,6 @@ def rank_contrasts(
     )
 
 
-def _plug_in_h(norms: NDArray[np.float64], subset: tuple[int, ...]) -> float:
-    return float(max(norms[k - 1] for k in subset))
-
-
 def _fit_candidate(
     level: int,
     target: Dataset,
@@ -215,18 +211,19 @@ def _fit_candidate(
     ranked: CandidateSet,
     schedules: LambdaSchedule,
     cfg: KernelConfig,
+    pool=None,
 ):
     # Candidate `level` of build_candidates, fitted on `target` (T1, or the
-    # full sample on a refit) with ridges for its size.
+    # full sample on a refit) with ridges for its size; pool as in
+    # fit_ah_tkrr.
     if level == 0:
         return fit_krr(target, schedule_lambda_source(target.n, schedules), cfg)
-    subset = ranked.nested_sets[level]
+    subset = tuple(sorted(ranked.nested_sets[level]))
     coll = SourceCollection(sources=tuple(sources), transferable=subset)
     lam1 = schedule_lambda_source(coll.n_transferable + target.n, schedules)
-    lam2 = schedule_lambda_debias(
-        target.n, _plug_in_h(ranked.contrast_norms, subset), schedules
-    )
-    return fit_ah_tkrr(target, coll, lam1, lam2, cfg)
+    h = float(max(ranked.contrast_norms[k - 1] for k in subset))
+    lam2 = schedule_lambda_debias(target.n, h, schedules)
+    return fit_ah_tkrr(target, coll, lam1, lam2, cfg, pool)
 
 
 def build_candidates(
@@ -240,8 +237,9 @@ def build_candidates(
     """Fit the m+1 candidate models induced by a ranking.
 
     Candidate 0 is target-only KRR on t1 (target_fit, if given); candidate l
-    pools t1 with the l lowest-contrast sources and runs the two-step fit, with
-    the debias ridge using the plug-in offset max contrast within the set.
+    pools t1 with the l lowest-contrast sources, in index order, and runs the
+    two-step fit, with the debias ridge using the plug-in offset max contrast
+    within the set.
     """
     first = () if target_fit is None else (target_fit,)
     candidates = first + tuple(
@@ -343,6 +341,7 @@ def sa_tkrr(
     schedules: LambdaSchedule,
     cfg: KernelConfig,
     prepared: tuple[Dataset, CandidateSet] | None = None,
+    pool=None,
 ) -> AggregateModel:
     """Full pipeline: split, rank, build candidates, aggregate.
 
@@ -353,10 +352,13 @@ def sa_tkrr(
     been computed. With retrain on, the chosen candidates with nonzero
     weight are refit on the full target sample at schedules recomputed for
     the full size, keeping the T1 contrast estimates for the plug-in offset
-    and the mixing weight unchanged.
+    and the mixing weight unchanged. `pool`, if given, makes a refit's pooled
+    step, called as transfer.fit_pooled is (on the whole target); the sweep
+    passes its per-cell store, so a refit reuses a pooled fit of the same
+    source set that another method of the cell has made.
     """
     if target.n < 4:
-        raise ValueError(f"need at least 4 target rows, got {target.n}")
+        raise TooFewRowsError(f"need at least 4 target rows, got {target.n}")
     t2, cs = prepared or prepare_candidates(target, sources, params, schedules, cfg)
     agg = hyper_sparse_aggregate(cs.candidates, t2, params)
     if not params.retrain:
@@ -364,7 +366,7 @@ def sa_tkrr(
     refit = list(agg.candidates)
     for idx, w in ((agg.idx_a, agg.weight), (agg.idx_b, 1.0 - agg.weight)):
         if w != 0.0:
-            refit[idx] = _fit_candidate(idx, target, sources, cs, schedules, cfg)
+            refit[idx] = _fit_candidate(idx, target, sources, cs, schedules, cfg, pool)
     return dataclasses.replace(agg, candidates=tuple(refit))
 
 

@@ -5,7 +5,6 @@ Subcommands:
     fit        fit one method on the config's first cell, dump predictions
     rank       print per-source contrast norms and ranks
     plot       render a summary CSV to an SVG line chart
-    fixtures   emit the frozen oracle fixtures as JSON
 
 Flag precedence: TKRR_THREADS env > --threads; --seed and --out override
 the config's seed and output_dir.
@@ -136,57 +135,6 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _cmd_fixtures(args) -> int:
-    import numpy as np
-
-    e1 = float(np.exp(-1.0))
-    det = 4.0 - e1 * e1
-    fixtures = {
-        "kernel_eval": {
-            "bandwidth": 1.0,
-            "a": [0.0],
-            "b": [1.0],
-            "expected": e1,
-        },
-        "spd_solve": {
-            "a": [[2.0, e1], [e1, 2.0]],
-            "b": [1.0, 0.0],
-            "expected": [2.0 / det, -e1 / det],
-        },
-        "krr_one_point": {
-            "x": [[0.0]],
-            "y": [2.0],
-            "ridge": 0.5,
-            "bandwidth": 1.0,
-            "expected_coefficient": 4.0 / 3.0,
-        },
-        "schedule_lambda_source": {
-            "n": 1000,
-            "r": 1.0,
-            "alpha": 1.0,
-            "scale": 1.0,
-            "expected": 1000.0 ** (-1.0 / 3.0),
-        },
-        "schedule_lambda_debias": {
-            "n0": 100,
-            "h_hat": 1.0,
-            "alpha": 1.0,
-            "scale": 1.0,
-            "expected": 0.1,
-        },
-        "prediction_error_const": {
-            "prediction": 0.0,
-            "reference": 2.0,
-            "expected": 4.0,
-        },
-    }
-    out = Path(args.out or "fixtures.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(fixtures, indent=2) + "\n")
-    print(f"wrote {out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tkrr",
@@ -194,9 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="JSON experiment config")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override output location")
 
@@ -222,10 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--title", default=None)
     p.add_argument("--no-error-bars", action="store_true")
     p.set_defaults(func=_cmd_plot)
-
-    p = sub.add_parser("fixtures", help="emit frozen oracle fixtures as JSON")
-    common(p, config=False)
-    p.set_defaults(func=_cmd_fixtures)
 
     return parser
 

@@ -178,13 +178,7 @@ def subsample_split(data: Dataset, n_train: int, seed: int) -> tuple[Dataset, Da
     """Seeded split into n_train rows and the remainder, both in row order."""
     if not 0 <= n_train <= data.n:
         raise ValueError(f"n_train must lie in [0, {data.n}], got {n_train}")
-    perm = np.random.default_rng(seed).permutation(data.n)
-    first = np.sort(perm[:n_train])
-    second = np.sort(perm[n_train:])
-    return (
-        Dataset(x=data.x[first], y=data.y[first]),
-        Dataset(x=data.x[second], y=data.y[second]),
-    )
+    return data.split(n_train, seed)
 
 
 @dataclass(frozen=True)

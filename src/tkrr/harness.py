@@ -20,6 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Sequence
@@ -47,7 +48,7 @@ from .datasets import (
     load_studies,
     subsample_split,
 )
-from .kernels import Dataset, KernelConfig, SpdSolveError
+from .kernels import Dataset, KernelConfig, TooFewRowsError
 from .krr import (
     LambdaSchedule,
     fit_krr,
@@ -248,14 +249,9 @@ def _pin_blas_env() -> None:
 def _synthetic_cell(config: ExperimentConfig, value, cell_seed: int):
     spec: SimSpec = config.scenario
     name = config.sweep_name
-    if name == "s":
-        spec = dataclasses.replace(spec, s=float(value))
-    elif name == "n0":
-        spec = dataclasses.replace(spec, n0=int(value))
-    elif name == "n_ah":
-        spec = dataclasses.replace(spec, n_k=int(value))
-    elif name == "m":
-        spec = dataclasses.replace(spec, m=int(value))
+    field = {"s": "s", "n0": "n0", "n_ah": "n_k", "m": "m"}.get(name)
+    if field is not None:
+        spec = dataclasses.replace(spec, **{field: float(value) if name == "s" else int(value)})
     target, sources, true_fn, _ = gen_scenario(spec, seed=cell_seed)
     x_test, reference = gen_test(spec, true_fn, seed=cell_seed)
 
@@ -314,6 +310,14 @@ def _once(shared: dict, key, fit):
     return shared[key]
 
 
+def _pooled(shared: dict, target: Dataset, coll: SourceCollection, lam1: float, cfg: KernelConfig):
+    # The cell's pooled fit of one source set, called as fit_pooled is.
+    # Keyed by the set alone: every caller passes the cell's whole target.
+    return _once(
+        shared, ("pooled", coll.transferable), lambda: fit_pooled(target, coll, lam1, cfg)
+    )
+
+
 def _fit_method(
     method: str,
     target: Dataset,
@@ -327,8 +331,9 @@ def _fit_method(
 
     `shared` holds the stages that methods of the same cell have in common,
     so each is fitted once: the pooled fit, keyed by its source set
-    (AhTKRR_WD is AhTKRR's pooled step alone), and SA's split, ranking and
-    candidate set, which AEW aggregates differently.
+    (AhTKRR_WD is AhTKRR's pooled step alone, and SA's refit of a candidate
+    reuses it: Pooled_TKRR's fit is SA's all-sources refit), and SA's split,
+    ranking and candidate set, which AEW aggregates differently.
     """
     shared = {} if shared is None else shared
     sched, cfg = config.schedules, config.kernel
@@ -340,7 +345,7 @@ def _fit_method(
         idx = tuple(range(1, len(sources) + 1)) if method == "Pooled_TKRR" else transferable
         coll = SourceCollection(sources=sources, transferable=idx)
         lam1 = schedule_lambda_source(coll.n_transferable + target.n, sched)
-        pooled = _once(shared, ("pooled", idx), lambda: fit_pooled(target, coll, lam1, cfg))
+        pooled = _pooled(shared, target, coll, lam1, cfg)
         if method == "AhTKRR_WD":
             return pooled
         # Offset magnitude defaults to 1 when the transferable set is taken
@@ -358,7 +363,7 @@ def _fit_method(
         shared, "candidates", lambda: prepare_candidates(target, sources, params, sched, cfg)
     )
     if method == "SA_TKRR":
-        return sa_tkrr(target, sources, params, sched, cfg, prepared)
+        return sa_tkrr(target, sources, params, sched, cfg, prepared, partial(_pooled, shared))
     t2, cs = prepared
     temperature = max(2.0 * float(np.var(t2.y)), 1e-12)
     return aew_aggregate(cs.candidates, t2, temperature)
@@ -378,7 +383,9 @@ def _run_cell(config: ExperimentConfig, v_index: int, rep: int, studies=None) ->
                     method, target, sources, transferable, config, cell_seed, shared
                 )
                 err = prediction_error(model, x_test, reference)
-            except (SpdSolveError, np.linalg.LinAlgError, ValueError):
+            # A numerical failure (SpdSolveError is a LinAlgError) or too
+            # little data is a failed fit; any other error propagates.
+            except (np.linalg.LinAlgError, TooFewRowsError):
                 err = float("nan")
             wall_ms = (time.perf_counter() - t0) * 1000.0
             rows.append(
@@ -409,8 +416,8 @@ def run_sweep(config: ExperimentConfig, threads: int | None = None) -> list[Resu
 
     CSV studies are loaded once here and handed to every cell.
     Rows sort by (method, value position, replication), so the table is
-    identical no matter how cells were scheduled. A failed fit keeps its
-    row with a blank test_error; the run continues.
+    identical no matter how cells were scheduled. A failed fit (LinAlgError
+    or TooFewRowsError) keeps its row with a blank test_error; the run goes on.
     """
     if not isinstance(config.scenario, SimSpec) and config.sweep_name not in ("n0", "n_ah"):
         raise ValueError(f"sweep {config.sweep_name!r} needs a synthetic scenario")

@@ -22,13 +22,17 @@ __all__ = [
     "RepresenterFunction",
     "WeightedSum",
     "SpdSolveError",
-    "kernel_eval",
+    "TooFewRowsError",
     "gram_matrix",
+    "ridge_system",
     "spd_solve",
     "rkhs_norm_diff",
 ]
 
 _JITTER_REL = 1e-10
+# Kernel rows are assembled this many at a time, so each block's distances
+# are divided and exponentiated while they are still in cache.
+_BLOCK_ROWS = 64
 
 
 class SpdSolveError(np.linalg.LinAlgError):
@@ -41,6 +45,10 @@ class SpdSolveError(np.linalg.LinAlgError):
     def __init__(self, message: str, jitter: float):
         super().__init__(message)
         self.jitter = jitter
+
+
+class TooFewRowsError(ValueError):
+    """A fit or split got fewer rows than it needs: a sweep's failed fit."""
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,12 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
+
+    def split(self, n_first: int, seed: int) -> tuple["Dataset", "Dataset"]:
+        """The first n_first rows of a seeded permutation, then the rest, each in row order."""
+        perm = np.random.default_rng(seed).permutation(self.n)
+        first, rest = np.sort(perm[:n_first]), np.sort(perm[n_first:])
+        return Dataset(self.x[first], self.y[first]), Dataset(self.x[rest], self.y[rest])
 
 
 @dataclass(frozen=True)
@@ -152,36 +166,56 @@ class WeightedSum:
         return np.zeros(_as_matrix(x).shape[0]) if out is None else out
 
 
-def kernel_eval(cfg: KernelConfig, a: NDArray, b: NDArray) -> float:
-    """Evaluate K(a, b) for two single points."""
-    av = np.asarray(a, dtype=np.float64).ravel()
-    bv = np.asarray(b, dtype=np.float64).ravel()
-    if av.shape != bv.shape:
-        raise ValueError(f"point dimensions differ: {av.shape} vs {bv.shape}")
-    d2 = float(np.sum((av - bv) ** 2))
-    return float(np.exp(-d2 / cfg.bandwidth))
+def _fill_kernel(cfg: KernelConfig, x, x2, out, upper: bool) -> None:
+    # out[i, j] = K(x_i, x2_j), a block of rows at a time; with upper, only
+    # j >= i. x / (-b) is -(x / b) exactly, so one division replaces the
+    # negation.
+    for i in range(0, x.shape[0], _BLOCK_ROWS):
+        j0 = i if upper else 0
+        t = cdist(x[i : i + _BLOCK_ROWS], x2[j0:], "sqeuclidean")
+        np.divide(t, -cfg.bandwidth, out=t)
+        np.exp(t, out=out[i : i + _BLOCK_ROWS, j0:])
 
 
 def gram_matrix(cfg: KernelConfig, x: NDArray, x2: NDArray | None = None) -> NDArray[np.float64]:
     """Assemble the kernel matrix K[i, j] = K(x_i, x2_j).
 
-    With x2 omitted (or identical to x) the result is exactly symmetric with
-    an exact unit diagonal: cdist evaluates each squared distance pairwise,
-    so (i, j) and (j, i) run the same float operations.
+    Each entry is exp(-cdist / bandwidth) bit for bit. With x2 omitted (or
+    identical to x) the result is exactly symmetric with an exact unit
+    diagonal: cdist evaluates each squared distance pairwise, so (i, j) and
+    (j, i) run the same float operations.
     """
-    xm = _as_matrix(x)
-    x2m = xm if x2 is None else _as_matrix(x2)
+    xm = np.ascontiguousarray(_as_matrix(x))
+    x2m = xm if x2 is None else np.ascontiguousarray(_as_matrix(x2))
     if xm.shape[1] != x2m.shape[1]:
         raise ValueError(
             f"covariate dimensions differ: {xm.shape[1]} vs {x2m.shape[1]}"
         )
-    k = cdist(xm, x2m, "sqeuclidean")
-    np.negative(k, out=k)
-    k /= cfg.bandwidth
-    return np.exp(k, out=k)
+    k = np.empty((xm.shape[0], x2m.shape[0]))
+    _fill_kernel(cfg, xm, x2m, k, upper=False)
+    return k
 
 
-def spd_solve(a: NDArray, b: NDArray, overwrite_a: bool = False) -> NDArray[np.float64]:
+def ridge_system(
+    cfg: KernelConfig, x: NDArray, shift: float, out: NDArray | None = None
+) -> NDArray[np.float64]:
+    """The upper triangle of K(x, x) + shift * I, all that spd_solve(overwrite_a=True) reads.
+
+    Row blocks are written from the diagonal rightwards, so below it only
+    each block's own square is; a new C-ordered system starts from zeros,
+    and the rest of a given out is left as it was.
+    """
+    xm = np.ascontiguousarray(_as_matrix(x))
+    n = xm.shape[0]
+    a = np.zeros((n, n)) if out is None else out
+    _fill_kernel(cfg, xm, xm, a, upper=True)
+    a[np.diag_indices(n)] += shift
+    return a
+
+
+def spd_solve(
+    a: NDArray, b: NDArray, overwrite_a: bool = False, refill=None
+) -> NDArray[np.float64]:
     """Solve A z = b for symmetric positive definite A by Cholesky.
 
     If the factorization fails (duplicate anchor rows at a tiny ridge can
@@ -189,8 +223,12 @@ def spd_solve(a: NDArray, b: NDArray, overwrite_a: bool = False) -> NDArray[np.f
     1e-10 * trace(A)/n is added to the diagonal and the solve is retried;
     a second failure raises SpdSolveError carrying the attempted jitter.
 
-    With overwrite_a, A (exactly symmetric, C-ordered float64) is factored
-    in place through its transpose, a Fortran-ordered view, and overwritten.
+    Without overwrite_a, A is never modified. With it, A (C-ordered float64)
+    is factored in place through its transpose, a Fortran-ordered view:
+    only A's upper triangle is read, and it is overwritten. A failed
+    factorization leaves that triangle partly overwritten, so the retry
+    calls refill(A) to write it again; with no refill it raises
+    SpdSolveError at once.
     """
     am = _as_matrix(a)
     bv = np.asarray(b, dtype=np.float64)
@@ -198,20 +236,19 @@ def spd_solve(a: NDArray, b: NDArray, overwrite_a: bool = False) -> NDArray[np.f
         raise ValueError(f"matrix is not square: {am.shape}")
     if bv.shape[0] != am.shape[0]:
         raise ValueError(f"shape mismatch: A is {am.shape}, b has {bv.shape[0]} rows")
-    # LAPACK reads and writes the lower triangle of what it factors; the
-    # strict upper triangle and this copy of the diagonal survive a failure.
+    # LAPACK reads and writes the lower triangle of what it factors, which
+    # for A's transpose is A's upper triangle.
     work = am.T if overwrite_a else am
-    diag = am.diagonal().copy()
     try:
         c, low = cho_factor(work, lower=True, overwrite_a=overwrite_a, check_finite=False)
-    except np.linalg.LinAlgError:
+    except np.linalg.LinAlgError as exc:
         n = am.shape[0]
-        if overwrite_a:
-            for i in range(1, n):
-                work[i, :i] = work[:i, i]
-            work[np.diag_indices(n)] = diag
-        else:
+        if not overwrite_a:
             work = np.array(am, order="F")
+        elif refill is None:
+            raise SpdSolveError("factorization failed in place", jitter=0.0) from exc
+        else:
+            refill(am)
         jitter = _JITTER_REL * float(np.trace(work)) / n
         work[np.diag_indices(n)] += jitter
         try:

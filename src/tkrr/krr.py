@@ -11,10 +11,16 @@ debias step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-import numpy as np
-
-from .kernels import Dataset, KernelConfig, RepresenterFunction, gram_matrix, spd_solve
+from .kernels import (
+    Dataset,
+    KernelConfig,
+    RepresenterFunction,
+    TooFewRowsError,
+    ridge_system,
+    spd_solve,
+)
 
 __all__ = [
     "LambdaSchedule",
@@ -55,10 +61,10 @@ def fit_krr(data: Dataset, ridge: float, cfg: KernelConfig) -> RepresenterFuncti
     if not ridge > 0:
         raise ValueError(f"ridge must be positive, got {ridge}")
     if data.n < 1:
-        raise ValueError("need at least one observation")
-    a = gram_matrix(cfg, data.x)
-    a[np.diag_indices(data.n)] += data.n * ridge
-    beta = spd_solve(a, data.y, overwrite_a=True)
+        raise TooFewRowsError("need at least one observation")
+    # One n x n buffer holds the system's upper triangle, then its factor.
+    build = partial(ridge_system, cfg, data.x, data.n * ridge)
+    beta = spd_solve(build(), data.y, overwrite_a=True, refill=build)
     return RepresenterFunction(anchors=data.x, coefficients=beta, kernel=cfg)
 
 

@@ -102,6 +102,13 @@ def fit_ah_tkrr(
     lambda1: float,
     lambda2: float,
     cfg: KernelConfig,
+    pool=None,
 ) -> WeightedSum:
-    """Two-step fit: pooled step at lambda1, debias step at lambda2."""
-    return fit_two_step(target, fit_pooled(target, sources, lambda1, cfg), lambda2, cfg)
+    """Two-step fit: pooled step at lambda1, debias step at lambda2.
+
+    pool, if given, makes the pooled step in place of fit_pooled and is
+    called as fit_pooled is; a caller that keeps its pooled fits passes a
+    lookup here.
+    """
+    pooled = (pool or fit_pooled)(target, sources, lambda1, cfg)
+    return fit_two_step(target, pooled, lambda2, cfg)

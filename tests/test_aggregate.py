@@ -152,7 +152,7 @@ class TestBuildCandidates:
             assert model.weights.tolist() == [1.0, 1.0]
             pooled, debias = model.parts
             subset = cs.nested_sets[level]
-            coll = SourceCollection(sources=tuple(sources), transferable=subset)
+            coll = SourceCollection(sources=tuple(sources), transferable=tuple(sorted(subset)))
             n_pool = 12 + sum(sources[k - 1].n for k in subset)
             lam1 = schedule_lambda_source(n_pool, SCHED)
             want = fit_pooled(t1, coll, lam1, CFG)

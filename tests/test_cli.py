@@ -11,7 +11,6 @@ import pytest
 
 from tkrr import harness
 from tkrr.cli import main
-from tkrr.kernels import KernelConfig, kernel_eval
 from tkrr.rng import derive_seed
 from tkrr.synthetic import SimSpec, gen_scenario, scenario_to_csv
 
@@ -253,23 +252,3 @@ class TestPlot:
         cfg = write_config(tmp_path)
         with pytest.raises(SystemExit, match="run simulate first"):
             main(["plot", "--config", str(cfg)])
-
-
-class TestFixtures:
-    def test_values_match_library(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["fixtures"]) == 0
-        doc = json.loads((tmp_path / "fixtures.json").read_text())
-        ker = doc["kernel_eval"]
-        got = kernel_eval(
-            KernelConfig(bandwidth=ker["bandwidth"]), np.array(ker["a"]), np.array(ker["b"])
-        )
-        assert got == pytest.approx(ker["expected"], abs=1e-15)
-        spd = doc["spd_solve"]
-        residual = np.array(spd["a"]) @ np.array(spd["expected"]) - np.array(spd["b"])
-        assert np.max(np.abs(residual)) < 1e-12
-
-    def test_out_flag(self, tmp_path):
-        out = tmp_path / "frozen" / "oracle.json"
-        main(["fixtures", "--out", str(out)])
-        assert out.is_file()

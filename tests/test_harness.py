@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from tkrr import harness
-from tkrr.aggregate import AggregationParams
+from tkrr import aggregate, harness
+from tkrr.aggregate import AggregateModel, AggregationParams
 from tkrr.datasets import StudyConfig, load_studies
 from tkrr.harness import (
     METHODS,
@@ -132,6 +132,16 @@ class TestRunSweep:
         assert all(math.isnan(r.test_error) for r in by_method["SA_TKRR"])
         assert all(not math.isnan(r.test_error) for r in by_method["KRR"])
 
+    def test_programming_error_raises(self, monkeypatch):
+        # Only numerical failures and too little data become failed fits; a
+        # prediction of the wrong length is a bug and stops the sweep.
+        def wrong_length(*args):
+            return lambda x: np.zeros(len(x) + 1)
+
+        monkeypatch.setattr(harness, "fit_krr", wrong_length)
+        with pytest.raises(ValueError, match="length mismatch"):
+            run_sweep(tiny_config(methods=("KRR",)), threads=1)
+
     def test_a_h_sweep_controls_transferable_set(self):
         cfg = tiny_config(
             methods=("AhTKRR",), sweep_name="a_h", sweep_values=(0, 3), replications=1
@@ -194,25 +204,57 @@ class TestSharedStages:
         self._assert_order_free(cfg, ("SA_TKRR", "AEW_TKRR"))
 
     def test_each_shared_stage_fits_once(self, monkeypatch):
-        calls = {"pooled": 0, "candidates": 0}
+        pooled_sets, prepared, chosen = [], [], []
 
-        def counting(name, fn):
+        def recording(log, fn, arg=None):
             def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
+                log.append(out if arg is None else args[arg].transferable)
+                return out
             return wrapped
 
-        monkeypatch.setattr(harness, "fit_pooled", counting("pooled", harness.fit_pooled))
+        monkeypatch.setattr(harness, "fit_pooled", recording(pooled_sets, harness.fit_pooled, 1))
         monkeypatch.setattr(
-            harness, "prepare_candidates",
-            counting("candidates", harness.prepare_candidates),
+            harness, "prepare_candidates", recording(prepared, harness.prepare_candidates)
         )
+        monkeypatch.setattr(harness, "sa_tkrr", recording(chosen, harness.sa_tkrr))
         cfg = tiny_config(
             methods=METHODS, sweep_values=(0.1,), replications=1, fixed=(("a_h", 2),)
         )
         run_sweep(cfg, threads=1)
-        # one pooled fit for A_h = (1, 2), one for all sources; one candidate set
-        assert calls == {"pooled": 2, "candidates": 1}
+        # One candidate set. One pooled fit per source set the cell needs:
+        # A_h = (1, 2), all sources, and each set SA refits with weight > 0.
+        assert len(prepared) == 1
+        (_, cs), (agg,) = prepared[0], chosen
+        weighted = ((agg.idx_a, agg.weight), (agg.idx_b, 1.0 - agg.weight))
+        needed = {(1, 2), (1, 2, 3)} | {
+            tuple(sorted(cs.nested_sets[i])) for i, w in weighted if i > 0 and w != 0.0
+        }
+        assert sorted(pooled_sets) == sorted(needed)
+
+    @pytest.mark.parametrize("sa_first", [False, True])
+    def test_sa_refit_of_all_sources_is_the_pooled_fit(self, monkeypatch, sa_first):
+        cfg = tiny_config(methods=("Pooled_TKRR", "SA_TKRR"))
+        cell_seed, target, sources, transferable, _, _ = harness.build_cell(cfg, 0, 0)
+        m = len(sources)
+
+        def all_sources(candidates, t2, params):
+            return AggregateModel(idx_a=m, idx_b=0, weight=0.5, candidates=tuple(candidates))
+
+        monkeypatch.setattr(aggregate, "hyper_sparse_aggregate", all_sources)
+        shared = {}
+        order = ("SA_TKRR", "Pooled_TKRR") if sa_first else ("Pooled_TKRR", "SA_TKRR")
+        fit = {
+            meth: harness._fit_method(meth, target, sources, transferable, cfg, cell_seed, shared)
+            for meth in order
+        }
+        pooled = fit["Pooled_TKRR"].parts[0]
+        assert fit["SA_TKRR"].candidates[m].parts[0] is pooled
+        coll = SourceCollection(sources=sources, transferable=tuple(range(1, m + 1)))
+        lam1 = schedule_lambda_source(coll.n_transferable + target.n, cfg.schedules)
+        own = fit_pooled(target, coll, lam1, cfg.kernel)
+        assert np.array_equal(pooled.coefficients, own.coefficients)
+        assert np.array_equal(pooled.anchors, own.anchors)
 
     def test_no_debias_row_is_the_pooled_fit(self):
         cfg = tiny_config(fixed=(("a_h", 2),))

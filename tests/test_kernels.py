@@ -8,12 +8,23 @@ from tkrr.kernels import (
     RepresenterFunction,
     SpdSolveError,
     gram_matrix,
-    kernel_eval,
+    ridge_system,
     rkhs_norm_diff,
     spd_solve,
 )
 
 N_CASES = 100
+# Sizes around the row block that kernel assembly works in (64 rows).
+BLOCK_SIZES = [1, 63, 64, 65, 129, 700]
+
+
+def kernel_eval(cfg, a, b):
+    """Independent oracle: K(a, b) for two single points, written out."""
+    av = np.asarray(a, dtype=np.float64).ravel()
+    bv = np.asarray(b, dtype=np.float64).ravel()
+    if av.shape != bv.shape:
+        raise ValueError(f"point dimensions differ: {av.shape} vs {bv.shape}")
+    return float(np.exp(-float(np.sum((av - bv) ** 2)) / cfg.bandwidth))
 
 
 def random_function(rng, cfg, d, n_max=12):
@@ -93,6 +104,39 @@ class TestGramMatrix:
             expect = np.exp(-cdist(x, x if other is None else other, "sqeuclidean") / 0.7)
             assert np.array_equal(gram_matrix(cfg, x, other), expect)
 
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_cross_gram_bitwise_around_block_size(self, n):
+        rng = np.random.default_rng(106)
+        cfg = KernelConfig(bandwidth=0.3)
+        x, x2 = rng.normal(size=(n, 3)), rng.normal(size=(n + 5, 3))
+        for a, b in ((x, x2), (x2, x), (x, x)):
+            assert np.array_equal(gram_matrix(cfg, a, b), np.exp(-cdist(a, b, "sqeuclidean") / 0.3))
+
+
+class TestRidgeSystem:
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_upper_triangle_of_explicit_system(self, n):
+        rng = np.random.default_rng(107)
+        cfg = KernelConfig(bandwidth=0.3)
+        x = rng.normal(size=(n, 3))
+        a = ridge_system(cfg, x, 0.25)
+        expect = gram_matrix(cfg, x) + 0.25 * np.eye(n)
+        upper = np.triu_indices(n)
+        assert np.array_equal(a[upper], expect[upper])
+        # Below the diagonal only the row blocks' own squares are written.
+        lower = np.tril_indices(n, -1)
+        assert np.all((a[lower] == 0.0) | (a[lower] == expect[lower]))
+        assert a.flags.c_contiguous
+
+    def test_refills_only_the_upper_triangle(self):
+        rng = np.random.default_rng(108)
+        cfg = KernelConfig()
+        x = rng.normal(size=(70, 2))
+        out = np.full((70, 70), np.nan)
+        assert ridge_system(cfg, x, 1.0, out=out) is out
+        assert np.array_equal(np.triu(out), np.triu(ridge_system(cfg, x, 1.0)))
+        assert np.all(np.isnan(out[64:, :64]))
+
 
 class TestSpdSolve:
     def test_closed_form_oracle(self):
@@ -134,6 +178,21 @@ class TestSpdSolve:
         before = mat.copy()
         assert np.all(np.isfinite(spd_solve(mat, np.ones(mat.shape[0]))))
         assert np.array_equal(mat, before)
+
+    @pytest.mark.parametrize("n", [2, 65, 300])
+    def test_overwrite_reads_only_the_upper_triangle(self, n):
+        # NaN below the diagonal must never reach LAPACK.
+        rng = np.random.default_rng(109)
+        mat = gram_matrix(KernelConfig(), rng.normal(size=(n, 2))) + 0.1 * np.eye(n)
+        b = rng.normal(size=n)
+        expect = spd_solve(mat, b)
+        mat[np.tril_indices(n, -1)] = np.nan
+        assert np.array_equal(spd_solve(mat, b, overwrite_a=True), expect)
+
+    def test_overwrite_failure_without_refill_raises(self):
+        mat = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(SpdSolveError):
+            spd_solve(mat, np.array([1.0, 0.0]), overwrite_a=True)
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tkrr import kernels
-from tkrr.kernels import Dataset, KernelConfig, gram_matrix, spd_solve
+from tkrr.kernels import Dataset, KernelConfig, TooFewRowsError, gram_matrix, spd_solve
 from tkrr.krr import (
     H_FLOOR,
     LambdaSchedule,
@@ -117,10 +117,11 @@ class TestFitInvariants:
         a = gram_matrix(cfg, ds.x) + 2 * 0.3 * np.eye(2)
         assert np.array_equal(model.coefficients, spd_solve(a, ds.y))
 
-    @pytest.mark.parametrize("n", [2, 65, 300, 700])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300, 700])
     def test_in_place_system_matches_explicit_matrix(self, n):
-        # fit_krr builds and factors its system in one buffer; the sizes
-        # cover LAPACK's unblocked and blocked Cholesky.
+        # fit_krr builds the upper triangle of its system in one buffer, 64
+        # rows at a time, and factors it there; the sizes cover the row
+        # blocks and LAPACK's unblocked and blocked Cholesky.
         rng = np.random.default_rng(206)
         ds = Dataset(x=rng.normal(size=(n, 3)), y=rng.normal(size=n))
         cfg = KernelConfig(bandwidth=1.7)
@@ -147,6 +148,11 @@ class TestFitInvariants:
         ds = Dataset(x=np.zeros((2, 1)), y=np.ones(2))
         with pytest.raises(ValueError):
             fit_krr(ds, 0.0, KernelConfig())
+
+    def test_empty_data_is_too_few_rows(self):
+        ds = Dataset(x=np.zeros((0, 1)), y=np.zeros(0))
+        with pytest.raises(TooFewRowsError):
+            fit_krr(ds, 0.1, KernelConfig())
 
 
 class TestSchedules:
