@@ -12,6 +12,7 @@ runs after train/test splitting.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,17 +64,21 @@ def _sniff_delimiter(header_line: str) -> str:
     return ";" if header_line.count(";") > header_line.count(",") else ","
 
 
-def _read_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
+def _read_text(path: str | Path) -> str:
     with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first:
-            raise ValueError(f"{path}: empty file")
-        delim = _sniff_delimiter(first)
-        fh.seek(0)
-        reader = csv.reader(fh, delimiter=delim)
-        header = [h.strip() for h in next(reader)]
-        rows = [r for r in reader if r]
-    return header, rows
+        return fh.read()
+
+
+def _read_table(path: str | Path, text: str | None = None) -> tuple[list[str], list[list[str]]]:
+    # text, when given, is the contents of path, already read.
+    lines = io.StringIO(_read_text(path) if text is None else text, newline="")
+    first = lines.readline()
+    if not first:
+        raise ValueError(f"{path}: empty file")
+    lines.seek(0)
+    reader = csv.reader(lines, delimiter=_sniff_delimiter(first))
+    header = [h.strip() for h in next(reader)]
+    return header, [r for r in reader if r]
 
 
 def _column_index(header: list[str], name: str, path) -> int:
@@ -83,42 +88,52 @@ def _column_index(header: list[str], name: str, path) -> int:
         raise ValueError(f"{path}: no column {name!r}, header is {header}") from None
 
 
-def scan_categories(configs: Sequence[StudyConfig]) -> dict[str, tuple[str, ...]]:
-    """Collect the sorted level universe of every categorical column."""
+def _categorical(cfg: StudyConfig) -> list[str]:
+    return [
+        c[len(CATEGORICAL_PREFIX) :]
+        for c in cfg.feature_columns
+        if c.startswith(CATEGORICAL_PREFIX)
+    ]
+
+
+def _levels(tables) -> dict[str, tuple[str, ...]]:
+    # The sorted level universe of every categorical column over
+    # (config, header, rows) tables that are already read.
     levels: dict[str, set[str]] = {}
-    for cfg in configs:
-        cat_cols = [
-            c[len(CATEGORICAL_PREFIX) :]
-            for c in cfg.feature_columns
-            if c.startswith(CATEGORICAL_PREFIX)
-        ]
-        if not cat_cols:
-            continue
-        header, rows = _read_table(cfg.path)
-        idx = {c: _column_index(header, c, cfg.path) for c in cat_cols}
-        for c in cat_cols:
+    for cfg, header, rows in tables:
+        for c in _categorical(cfg):
+            i = _column_index(header, c, cfg.path)
             bucket = levels.setdefault(c, set())
             for r in rows:
                 # A row cut short before this column is dropped by load_csv.
-                v = r[idx[c]].strip() if idx[c] < len(r) else ""
+                v = r[i].strip() if i < len(r) else ""
                 if v:
                     bucket.add(v)
     return {c: tuple(sorted(s)) for c, s in levels.items()}
 
 
+def scan_categories(configs: Sequence[StudyConfig]) -> dict[str, tuple[str, ...]]:
+    """Collect the sorted level universe of every categorical column."""
+    return _levels((cfg, *_read_table(cfg.path)) for cfg in configs if _categorical(cfg))
+
+
 def load_csv(
-    cfg: StudyConfig, categories: dict[str, tuple[str, ...]] | None = None
+    cfg: StudyConfig,
+    categories: dict[str, tuple[str, ...]] | None = None,
+    text: str | None = None,
 ) -> Dataset:
     """Read one study into a Dataset.
 
     Delimiter is auto-detected between comma and semicolon. Numeric columns
     parse with float(); categorical columns expand to one indicator per
     level in sorted order (pass a shared categories map so several studies
-    agree on layout; a level outside the map encodes as all zeros). Rows
-    that fail to parse are dropped and the count logged.
+    agree on layout; a level outside the map encodes as all zeros; without
+    one, the study's own levels are used). Rows that fail to parse are
+    dropped and the count logged. text is the contents of cfg.path if it
+    has been read already, so the file is not opened again.
     """
-    header, raw = _read_table(cfg.path)
-    categories = categories or scan_categories([cfg])
+    header, raw = _read_table(cfg.path, text)
+    categories = categories or _levels([(cfg, header, raw)])
     resp_idx = _column_index(header, cfg.response_column, cfg.path)
 
     plan: list[tuple[int, tuple[str, ...] | None]] = []
@@ -162,16 +177,17 @@ def load_studies(
     """Load all studies of an experiment with one shared categorical layout.
 
     Exactly one config must have the target role; sources keep config order.
+    Each file is opened once and its contents kept, which take less memory
+    than parsed rows, until the shared categorical levels are known.
     """
     targets = [c for c in configs if c.role == "target"]
     if len(targets) != 1:
         raise ValueError(f"need exactly one target study, got {len(targets)}")
-    categories = scan_categories(configs)
-    target = load_csv(targets[0], categories)
-    sources = tuple(
-        load_csv(c, categories) for c in configs if c.role == "source"
-    )
-    return target, sources
+    texts = [(c, _read_text(c.path)) for c in configs]
+    categories = _levels((c, *_read_table(c.path, text)) for c, text in texts if _categorical(c))
+    loaded = [(c.role, load_csv(c, categories, text)) for c, text in texts]
+    target = next(ds for role, ds in loaded if role == "target")
+    return target, tuple(ds for role, ds in loaded if role == "source")
 
 
 def subsample_split(data: Dataset, n_train: int, seed: int) -> tuple[Dataset, Dataset]:

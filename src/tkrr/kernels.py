@@ -4,7 +4,10 @@ Everything downstream (ridge fits, transfer steps, aggregation) reduces to
 Gram-matrix assembly plus symmetric positive definite solves, so those two
 primitives live here together with the two fitted-function types (one
 representer-form expansion, and a weighted sum of fitted functions) and the
-RKHS norm of a difference of two expansions.
+RKHS norm of a difference of two expansions. Ridge systems are held in
+LAPACK's rectangular full packed format (Gustavson, Wasniewski, Dongarra and
+Langou 2010): one triangle in n(n+1)/2 entries, factored by a level-3
+Cholesky.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import lapack
 from scipy.spatial.distance import cdist
 
 __all__ = [
@@ -33,6 +36,8 @@ _JITTER_REL = 1e-10
 # Kernel rows are assembled this many at a time, so each block's distances
 # are divided and exponentiated while they are still in cache.
 _BLOCK_ROWS = 64
+# _BELOW[:b, :b - 1] marks the strictly lower entries of a b x b block.
+_BELOW = np.tri(_BLOCK_ROWS, _BLOCK_ROWS - 1, -1, dtype=bool)
 
 
 class SpdSolveError(np.linalg.LinAlgError):
@@ -166,15 +171,12 @@ class WeightedSum:
         return np.zeros(_as_matrix(x).shape[0]) if out is None else out
 
 
-def _fill_kernel(cfg: KernelConfig, x, x2, out, upper: bool) -> None:
-    # out[i, j] = K(x_i, x2_j), a block of rows at a time; with upper, only
-    # j >= i. x / (-b) is -(x / b) exactly, so one division replaces the
-    # negation.
-    for i in range(0, x.shape[0], _BLOCK_ROWS):
-        j0 = i if upper else 0
-        t = cdist(x[i : i + _BLOCK_ROWS], x2[j0:], "sqeuclidean")
-        np.divide(t, -cfg.bandwidth, out=t)
-        np.exp(t, out=out[i : i + _BLOCK_ROWS, j0:])
+def _kernel_block(cfg: KernelConfig, x, x2, out=None) -> NDArray[np.float64]:
+    # K(x_i, x2_j) for one block of rows. x / (-b) is -(x / b) exactly, so
+    # one division replaces the negation.
+    t = cdist(x, x2, "sqeuclidean")
+    np.divide(t, -cfg.bandwidth, out=t)
+    return np.exp(t, out=t if out is None else out)
 
 
 def gram_matrix(cfg: KernelConfig, x: NDArray, x2: NDArray | None = None) -> NDArray[np.float64]:
@@ -192,73 +194,112 @@ def gram_matrix(cfg: KernelConfig, x: NDArray, x2: NDArray | None = None) -> NDA
             f"covariate dimensions differ: {xm.shape[1]} vs {x2m.shape[1]}"
         )
     k = np.empty((xm.shape[0], x2m.shape[0]))
-    _fill_kernel(cfg, xm, x2m, k, upper=False)
+    for i in range(0, xm.shape[0], _BLOCK_ROWS):
+        _kernel_block(cfg, xm[i : i + _BLOCK_ROWS], x2m, k[i : i + _BLOCK_ROWS])
     return k
+
+
+def _packed_order(system: NDArray) -> int:
+    # The order n of a packed system, whose Fortran shape is
+    # (n + 1 - n % 2) x ceil(n / 2).
+    # LAPACK must see the array itself, or it would factor a copy.
+    rows, cols = system.shape
+    if rows not in (2 * cols - 1, 2 * cols + 1) or not (
+        system.flags.f_contiguous and system.dtype == np.float64
+    ):
+        raise ValueError(f"not a packed float64 system: {system.dtype} {system.shape}")
+    return rows if rows < 2 * cols else rows - 1
+
+
+def _diagonal(system: NDArray) -> tuple[NDArray, NDArray]:
+    # The diagonal of a packed system as two writable views, in order:
+    # entries 0..ceil(n/2)-1, then the trailing triangle's.
+    rows = system.shape[0]
+    o = rows - _packed_order(system)
+    flat = system.reshape(-1, order="F")
+    return flat[o :: rows + 1], flat[o - 1 + (1 - o) * (rows + 1) :: rows + 1]
 
 
 def ridge_system(
     cfg: KernelConfig, x: NDArray, shift: float, out: NDArray | None = None
 ) -> NDArray[np.float64]:
-    """The upper triangle of K(x, x) + shift * I, all that spd_solve(overwrite_a=True) reads.
+    """K(x, x) + shift * I in rectangular full packed format, the one system format.
 
-    Row blocks are written from the diagonal rightwards, so below it only
-    each block's own square is; a new C-ordered system starts from zeros,
-    and the rest of a given out is left as it was.
+    The result is lapack.dtrttf(K + shift * I, transr='N', uplo='L') bit
+    for bit, in its Fortran shape (n + 1 - n % 2) x ceil(n / 2): 4n(n+1)
+    bytes, every entry written, into a new array or into out. Rows are
+    built 64 at a time; each kernel entry is computed once, apart from one
+    64 x 64 square per row block.
     """
     xm = np.ascontiguousarray(_as_matrix(x))
     n = xm.shape[0]
-    a = np.zeros((n, n)) if out is None else out
-    _fill_kernel(cfg, xm, xm, a, upper=True)
-    a[np.diag_indices(n)] += shift
+    t, o = (n + 1) // 2, 1 - n % 2
+    a = np.empty((n + o, t), order="F") if out is None else out
+    # In the C-ordered view, row j holds K(x_j, x_i) at column o + i for
+    # i >= j and, before it, the trailing triangle's row t - 1 + o + j:
+    # K(x_{t-1+o+j}, x_{t+c}) at column c < o + j.
+    rows = a.T
+    for j0 in range(0, t, _BLOCK_ROWS):
+        j1 = min(j0 + _BLOCK_ROWS, t)
+        _kernel_block(cfg, xm[j0:j1], xm[j0:], rows[j0:j1, o + j0 :])
+        if o + j1 > 1:
+            tail = _kernel_block(cfg, xm[t - 1 + o + j0 : t - 1 + o + j1], xm[t : t - 1 + o + j1])
+            rows[j0:j1, : o + j0] = tail[:, : o + j0]
+            # Below the diagonal of the block's own square, the trailing rows win.
+            b = j1 - j0
+            np.copyto(rows[j0:j1, o + j0 : o + j1 - 1], tail[:, o + j0 :], where=_BELOW[:b, : b - 1])
+    for run in _diagonal(a):
+        run += shift
     return a
 
 
-def spd_solve(
-    a: NDArray, b: NDArray, overwrite_a: bool = False, refill=None
-) -> NDArray[np.float64]:
-    """Solve A z = b for symmetric positive definite A by Cholesky.
+def cho_factor(system: NDArray) -> None:
+    """Overwrite a packed system with its Cholesky factor (LAPACK dpftrf).
 
+    Raises LinAlgError if the system is not numerically positive definite;
+    the system is then partly overwritten.
+    """
+    n = _packed_order(system)
+    _, info = lapack.dpftrf(n, system.reshape(-1, order="F"), transr="N", uplo="L", overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"leading minor of order {info} is not positive definite")
+
+
+def spd_solve(system: NDArray, b: NDArray, refill=None) -> NDArray[np.float64]:
+    """Solve A z = b for a packed symmetric positive definite A, factoring it in place.
+
+    The system, as ridge_system builds it, is overwritten by its Cholesky
+    factor (cho_factor) and z comes from LAPACK dpftrs; b is not modified.
     If the factorization fails (duplicate anchor rows at a tiny ridge can
-    push the matrix to numerical semi-definiteness), one jitter of
-    1e-10 * trace(A)/n is added to the diagonal and the solve is retried;
-    a second failure raises SpdSolveError carrying the attempted jitter.
-
-    Without overwrite_a, A is never modified. With it, A (C-ordered float64)
-    is factored in place through its transpose, a Fortran-ordered view:
-    only A's upper triangle is read, and it is overwritten. A failed
-    factorization leaves that triangle partly overwritten, so the retry
-    calls refill(A) to write it again; with no refill it raises
+    push the matrix to numerical semi-definiteness), refill(system) writes
+    the system again, 1e-10 * trace(A)/n is added to its diagonal and the
+    factorization is retried once; a second failure raises SpdSolveError
+    carrying the attempted jitter. With no refill a failure raises
     SpdSolveError at once.
     """
-    am = _as_matrix(a)
+    n = _packed_order(system)
     bv = np.asarray(b, dtype=np.float64)
-    if am.shape[0] != am.shape[1]:
-        raise ValueError(f"matrix is not square: {am.shape}")
-    if bv.shape[0] != am.shape[0]:
-        raise ValueError(f"shape mismatch: A is {am.shape}, b has {bv.shape[0]} rows")
-    # LAPACK reads and writes the lower triangle of what it factors, which
-    # for A's transpose is A's upper triangle.
-    work = am.T if overwrite_a else am
+    if bv.shape[0] != n:
+        raise ValueError(f"shape mismatch: A has order {n}, b has {bv.shape[0]} rows")
     try:
-        c, low = cho_factor(work, lower=True, overwrite_a=overwrite_a, check_finite=False)
+        cho_factor(system)
     except np.linalg.LinAlgError as exc:
-        n = am.shape[0]
-        if not overwrite_a:
-            work = np.array(am, order="F")
-        elif refill is None:
-            raise SpdSolveError("factorization failed in place", jitter=0.0) from exc
-        else:
-            refill(am)
-        jitter = _JITTER_REL * float(np.trace(work)) / n
-        work[np.diag_indices(n)] += jitter
+        if refill is None:
+            raise SpdSolveError("factorization failed and there is no refill", jitter=0.0) from exc
+        refill(system)
+        diagonal = _diagonal(system)
+        jitter = _JITTER_REL * float(np.concatenate(diagonal).sum()) / n
+        for run in diagonal:
+            run += jitter
         try:
-            c, low = cho_factor(work, lower=True, overwrite_a=True, check_finite=False)
+            cho_factor(system)
         except np.linalg.LinAlgError as exc:
             raise SpdSolveError(
                 f"matrix not positive definite even with jitter {jitter:.3e}",
                 jitter=jitter,
             ) from exc
-    return cho_solve((c, low), bv, check_finite=False)
+    z, _ = lapack.dpftrs(n, system.reshape(-1, order="F"), bv.reshape(n, -1), transr="N", uplo="L")
+    return z.reshape(bv.shape)
 
 
 def rkhs_norm_diff(f: RepresenterFunction, g: RepresenterFunction) -> float:

@@ -62,9 +62,9 @@ def fit_krr(data: Dataset, ridge: float, cfg: KernelConfig) -> RepresenterFuncti
         raise ValueError(f"ridge must be positive, got {ridge}")
     if data.n < 1:
         raise TooFewRowsError("need at least one observation")
-    # One n x n buffer holds the system's upper triangle, then its factor.
+    # One packed buffer of n(n+1)/2 entries holds the system, then its factor.
     build = partial(ridge_system, cfg, data.x, data.n * ridge)
-    beta = spd_solve(build(), data.y, overwrite_a=True, refill=build)
+    beta = spd_solve(build(), data.y, refill=build)
     return RepresenterFunction(anchors=data.x, coefficients=beta, kernel=cfg)
 
 

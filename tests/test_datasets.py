@@ -1,8 +1,10 @@
+import builtins
 import logging
 
 import numpy as np
 import pytest
 
+from tkrr import datasets
 from tkrr.datasets import (
     Standardizer,
     StudyConfig,
@@ -99,6 +101,34 @@ class TestCategorical:
         cfg = StudyConfig(path=path, feature_columns=("categorical:g",), response_column="y")
         ds = load_csv(cfg, categories={"g": ("a", "b")})
         np.testing.assert_array_equal(ds.x, [[0, 0]])
+
+    def test_load_studies_opens_each_file_once(self, tmp_path, monkeypatch):
+        # One pass per file gives the same Datasets, bit for bit, as scanning
+        # the levels of every file and then loading each one.
+        texts = {
+            "t.csv": "u,g,y\n0.1,b,1.5\nbad,a,2\n0.30000000000000004,a,-1\n",
+            "s1.csv": "u;g;y\n1e-3;c;0.25\n2;;3\n7;b;1\n",
+            "s2.csv": "g,u,y\nd,5,6\n",
+        }
+        paths = {name: write(tmp_path, name, text) for name, text in texts.items()}
+        cfgs = [
+            StudyConfig(path=paths[name], feature_columns=("u", "categorical:g"),
+                        response_column="y", role="target" if name == "t.csv" else "source")
+            for name in ("s1.csv", "t.csv", "s2.csv")
+        ]
+        cats = scan_categories(cfgs)
+        assert cats == {"g": ("a", "b", "c", "d")}
+        expect = [load_csv(c, cats) for c in cfgs]
+        opened = []
+        monkeypatch.setattr(
+            datasets, "open", lambda path, *a, **k: opened.append(path) or builtins.open(path, *a, **k),
+            raising=False,
+        )
+        target, sources = load_studies(cfgs)
+        assert sorted(opened) == sorted(paths.values())
+        for got, want in zip((target, *sources), (expect[1], expect[0], expect[2])):
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+            assert got.x.dtype == want.x.dtype and got.x.shape == want.x.shape
 
     def test_load_studies_needs_one_target(self, tmp_path):
         p = write(tmp_path, "a.csv", "u,y\n1,2\n")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.spatial.distance import cdist
 
 from tkrr.kernels import (
@@ -14,8 +15,9 @@ from tkrr.kernels import (
 )
 
 N_CASES = 100
-# Sizes around the row block that kernel assembly works in (64 rows).
-BLOCK_SIZES = [1, 63, 64, 65, 129, 700]
+# Sizes around the row block that kernel assembly works in (64 rows), odd
+# and even: a packed system of order n is built in ceil(n / 2) rows.
+BLOCK_SIZES = [1, 2, 3, 63, 64, 65, 127, 128, 129, 700, 701]
 
 
 def kernel_eval(cfg, a, b):
@@ -25,6 +27,24 @@ def kernel_eval(cfg, a, b):
     if av.shape != bv.shape:
         raise ValueError(f"point dimensions differ: {av.shape} vs {bv.shape}")
     return float(np.exp(-float(np.sum((av - bv) ** 2)) / cfg.bandwidth))
+
+
+def packed(mat):
+    """Oracle: LAPACK's own packing of an explicit symmetric matrix, in its Fortran shape."""
+    n = mat.shape[0]
+    arf, info = lapack.dtrttf(mat, transr="N", uplo="L")
+    assert info == 0
+    return arf.reshape((n + 1 - n % 2, (n + 1) // 2), order="F")
+
+
+def packed_solve(mat, b):
+    """Oracle: the explicit matrix packed, factored and solved by LAPACK directly."""
+    n = mat.shape[0]
+    factor, info = lapack.dpftrf(n, packed(mat).ravel(order="F"), transr="N", uplo="L")
+    assert info == 0
+    z, info = lapack.dpftrs(n, factor, np.reshape(b, (n, 1)), transr="N", uplo="L")
+    assert info == 0
+    return factor, z.ravel()
 
 
 def random_function(rng, cfg, d, n_max=12):
@@ -116,26 +136,26 @@ class TestGramMatrix:
 class TestRidgeSystem:
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_upper_triangle_of_explicit_system(self, n):
+        # The one triangle a packed system holds equals LAPACK's packing of
+        # the explicit gram_matrix + shift * I, entry for entry.
         rng = np.random.default_rng(107)
         cfg = KernelConfig(bandwidth=0.3)
-        x = rng.normal(size=(n, 3))
-        a = ridge_system(cfg, x, 0.25)
-        expect = gram_matrix(cfg, x) + 0.25 * np.eye(n)
-        upper = np.triu_indices(n)
-        assert np.array_equal(a[upper], expect[upper])
-        # Below the diagonal only the row blocks' own squares are written.
-        lower = np.tril_indices(n, -1)
-        assert np.all((a[lower] == 0.0) | (a[lower] == expect[lower]))
-        assert a.flags.c_contiguous
+        for d in (1, 10):
+            x = rng.normal(size=(n, d))
+            a = ridge_system(cfg, x, 0.25)
+            assert a.shape == (n + 1 - n % 2, (n + 1) // 2)
+            assert a.flags.f_contiguous
+            assert np.array_equal(a, packed(gram_matrix(cfg, x) + 0.25 * np.eye(n)))
 
     def test_refills_only_the_upper_triangle(self):
+        # A refill writes every packed entry, so nothing of the old contents survives.
         rng = np.random.default_rng(108)
         cfg = KernelConfig()
-        x = rng.normal(size=(70, 2))
-        out = np.full((70, 70), np.nan)
-        assert ridge_system(cfg, x, 1.0, out=out) is out
-        assert np.array_equal(np.triu(out), np.triu(ridge_system(cfg, x, 1.0)))
-        assert np.all(np.isnan(out[64:, :64]))
+        for n in (69, 70):
+            x = rng.normal(size=(n, 2))
+            out = np.full((n + 1 - n % 2, (n + 1) // 2), np.nan, order="F")
+            assert ridge_system(cfg, x, 1.0, out=out) is out
+            assert np.array_equal(out, ridge_system(cfg, x, 1.0))
 
 
 class TestSpdSolve:
@@ -144,7 +164,7 @@ class TestSpdSolve:
         a = np.exp(-1.0)
         mat = np.array([[2.0, a], [a, 2.0]])
         expect = np.array([2.0, -a]) / (4.0 - a * a)
-        np.testing.assert_allclose(spd_solve(mat, [1.0, 0.0]), expect, atol=1e-12)
+        np.testing.assert_allclose(spd_solve(packed(mat), [1.0, 0.0]), expect, atol=1e-12)
 
     def test_residual_bound(self):
         rng = np.random.default_rng(103)
@@ -154,51 +174,74 @@ class TestSpdSolve:
             cfg = KernelConfig(bandwidth=float(rng.uniform(0.3, 3.0)))
             mat = gram_matrix(cfg, x) + float(rng.uniform(1e-6, 0.5)) * np.eye(n)
             b = rng.normal(size=n)
-            z = spd_solve(mat, b)
+            z = spd_solve(packed(mat), b)
             resid = np.max(np.abs(mat @ z - b))
             assert resid <= 1e-8 * (1.0 + np.max(np.abs(b)))
 
     def test_jitter_rescues_semidefinite(self):
         mat = np.array([[1.0, 1.0], [1.0, 1.0]])
-        z = spd_solve(mat, np.array([1.0, 1.0]))
+
+        def refill(system):
+            system[...] = packed(mat)
+
+        z = spd_solve(packed(mat), np.array([1.0, 1.0]), refill=refill)
         assert np.all(np.isfinite(z))
+        # The jitter is 1e-10 * trace / n = 1e-10 on both diagonal entries.
+        assert np.array_equal(z, packed_solve(mat + 1e-10 * np.eye(2), [1.0, 1.0])[1])
 
     def test_indefinite_raises_with_jitter(self):
         mat = np.array([[1.0, 2.0], [2.0, 1.0]])
+
+        def refill(system):
+            system[...] = packed(mat)
+
         with pytest.raises(SpdSolveError) as err:
-            spd_solve(mat, np.array([1.0, 0.0]))
+            spd_solve(packed(mat), np.array([1.0, 0.0]), refill=refill)
         assert err.value.jitter > 0
 
     @pytest.mark.parametrize("semidefinite", [False, True])
     def test_leaves_input_unchanged(self, semidefinite):
-        # The jitter path is taken when the rows repeat at a tiny ridge.
+        # The right-hand side (a fit's responses) is never written, on the
+        # plain path or on the jitter path, which is taken when the rows
+        # repeat at a tiny ridge.
         x = np.random.default_rng(105).normal(size=(40, 2))
-        mat = gram_matrix(KernelConfig(), np.concatenate([x, x]) if semidefinite else x)
-        mat += (1e-20 if semidefinite else 0.1) * np.eye(mat.shape[0])
-        before = mat.copy()
-        assert np.all(np.isfinite(spd_solve(mat, np.ones(mat.shape[0]))))
-        assert np.array_equal(mat, before)
+        xs = np.concatenate([x, x]) if semidefinite else x
+        shift = 1e-20 if semidefinite else 0.1
+        b = np.ones(xs.shape[0])
+        z = spd_solve(
+            ridge_system(KernelConfig(), xs, shift),
+            b,
+            refill=lambda s: ridge_system(KernelConfig(), xs, shift, out=s),
+        )
+        assert np.all(np.isfinite(z)) and not np.shares_memory(z, b)
+        assert np.array_equal(b, np.ones(xs.shape[0]))
 
     @pytest.mark.parametrize("n", [2, 65, 300])
     def test_overwrite_reads_only_the_upper_triangle(self, n):
-        # NaN below the diagonal must never reach LAPACK.
+        # The packed triangle is all spd_solve reads, and it is overwritten
+        # in place by LAPACK's factor of the explicit matrix.
         rng = np.random.default_rng(109)
         mat = gram_matrix(KernelConfig(), rng.normal(size=(n, 2))) + 0.1 * np.eye(n)
         b = rng.normal(size=n)
-        expect = spd_solve(mat, b)
-        mat[np.tril_indices(n, -1)] = np.nan
-        assert np.array_equal(spd_solve(mat, b, overwrite_a=True), expect)
+        system = packed(mat)
+        factor, expect = packed_solve(mat, b)
+        assert np.array_equal(spd_solve(system, b), expect)
+        assert np.array_equal(system.ravel(order="F"), factor)
 
     def test_overwrite_failure_without_refill_raises(self):
-        mat = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(SpdSolveError):
-            spd_solve(mat, np.array([1.0, 0.0]), overwrite_a=True)
+        with pytest.raises(SpdSolveError) as err:
+            spd_solve(packed(np.array([[1.0, 2.0], [2.0, 1.0]])), np.array([1.0, 0.0]))
+        assert err.value.jitter == 0.0
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):
-            spd_solve(np.zeros((2, 3)), np.zeros(2))
+            spd_solve(np.zeros((2, 3), order="F"), np.zeros(2))
         with pytest.raises(ValueError):
-            spd_solve(np.eye(2), np.zeros(3))
+            spd_solve(np.zeros((3, 2)), np.zeros(3))  # C-ordered: not LAPACK's layout
+        with pytest.raises(ValueError):
+            spd_solve(packed(np.eye(2)).astype(np.float32), np.zeros(2))
+        with pytest.raises(ValueError):
+            spd_solve(packed(np.eye(2)), np.zeros(3))
 
 
 class TestRkhsNormDiff:

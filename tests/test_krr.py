@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from tkrr import kernels
-from tkrr.kernels import Dataset, KernelConfig, TooFewRowsError, gram_matrix, spd_solve
+from tkrr.kernels import Dataset, KernelConfig, TooFewRowsError, gram_matrix
 from tkrr.krr import (
     H_FLOOR,
     LambdaSchedule,
@@ -20,6 +21,16 @@ def random_dataset(rng, n_max=30, d_max=4):
     x = rng.normal(size=(n, d))
     y = rng.normal(size=n)
     return Dataset(x=x, y=y)
+
+
+def rfp_solve(mat, b):
+    """Oracle: LAPACK packs, factors and solves the explicit system itself."""
+    n = mat.shape[0]
+    arf, info = lapack.dtrttf(mat, transr="N", uplo="L")
+    factor, info2 = lapack.dpftrf(n, arf, transr="N", uplo="L")
+    z, info3 = lapack.dpftrs(n, factor, np.reshape(b, (n, 1)), transr="N", uplo="L")
+    assert info == info2 == info3 == 0
+    return z.ravel()
 
 
 class TestFitOracles:
@@ -115,23 +126,25 @@ class TestFitInvariants:
         assert np.array_equal(model.anchors, ds.x)
         assert model.anchors.shape[0] == 2
         a = gram_matrix(cfg, ds.x) + 2 * 0.3 * np.eye(2)
-        assert np.array_equal(model.coefficients, spd_solve(a, ds.y))
+        assert np.array_equal(model.coefficients, rfp_solve(a, ds.y))
 
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300, 700])
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 127, 128, 129, 300, 700, 701])
     def test_in_place_system_matches_explicit_matrix(self, n):
-        # fit_krr builds the upper triangle of its system in one buffer, 64
-        # rows at a time, and factors it there; the sizes cover the row
-        # blocks and LAPACK's unblocked and blocked Cholesky.
+        # fit_krr builds its packed system in one buffer, 64 rows at a time,
+        # and factors it there; the sizes cover odd and even layouts, the
+        # row blocks, and LAPACK's unblocked and blocked Cholesky.
         rng = np.random.default_rng(206)
-        ds = Dataset(x=rng.normal(size=(n, 3)), y=rng.normal(size=n))
         cfg = KernelConfig(bandwidth=1.7)
-        a = gram_matrix(cfg, ds.x) + n * 0.01 * np.eye(n)
-        assert np.array_equal(fit_krr(ds, 0.01, cfg).coefficients, spd_solve(a, ds.y))
+        for d in (1, 10):
+            ds = Dataset(x=rng.normal(size=(n, d)), y=rng.normal(size=n))
+            a = gram_matrix(cfg, ds.x) + n * 0.01 * np.eye(n)
+            assert np.array_equal(fit_krr(ds, 0.01, cfg).coefficients, rfp_solve(a, ds.y))
 
     def test_jitter_retry_in_place_matches_explicit_matrix(self, monkeypatch):
         # 150 distinct rows, then the same rows again, at a ridge far below
-        # roundoff: the first factorization fails at row 151, after writing
-        # 150 columns of the factor over the system, and the retry succeeds.
+        # roundoff: the first factorization fails in the second half, after
+        # writing the first half's factor over the system; the retry refills
+        # the system, adds 1e-10 * trace / n to its diagonal and succeeds.
         rng = np.random.default_rng(207)
         x = rng.normal(size=(150, 2))
         ds = Dataset(x=np.concatenate([x, x]), y=rng.normal(size=300))
@@ -142,7 +155,8 @@ class TestFitInvariants:
         coef = fit_krr(ds, 1e-20, cfg).coefficients
         assert len(calls) == 2
         a = gram_matrix(cfg, ds.x) + 300 * 1e-20 * np.eye(300)
-        assert np.array_equal(coef, spd_solve(a, ds.y))
+        a += 1e-10 * np.trace(a) / 300 * np.eye(300)
+        assert np.array_equal(coef, rfp_solve(a, ds.y))
 
     def test_bad_ridge(self):
         ds = Dataset(x=np.zeros((2, 1)), y=np.ones(2))

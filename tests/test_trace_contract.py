@@ -33,23 +33,45 @@ def test_cell_and_blas_hooks_exist(monkeypatch):
     harness._pin_blas_env()
 
 
-def test_fit_krr_solves_once_through_the_traced_names(monkeypatch):
-    # The tracer reads spd_solve's matrix and right-hand side positionally
-    # and counts jitter retries as extra cho_factor calls within one solve.
-    solves, factors = [], []
+def _trace_solves(monkeypatch):
+    # Record, per spd_solve call, its positional arguments and the
+    # cho_factor calls made within it, as the tracer counts them.
+    calls = []
     real_solve, real_factor = krr.spd_solve, kernels.cho_factor
 
     def solve(*args, **kwargs):
-        solves.append(len(args))
+        calls.append((args, []))
         return real_solve(*args, **kwargs)
 
     def factor(*args, **kwargs):
-        factors.append(1)
+        calls[-1][1].append(1)
         return real_factor(*args, **kwargs)
 
     monkeypatch.setattr(krr, "spd_solve", solve)
     monkeypatch.setattr(kernels, "cho_factor", factor)
-    ds = Dataset(x=np.random.default_rng(208).normal(size=(30, 2)), y=np.ones(30))
-    krr.fit_krr(ds, 0.1, KernelConfig())
-    assert len(solves) == 1 and solves[0] >= 2
-    assert factors == [1]
+    return calls
+
+
+def test_fit_krr_solves_once_through_the_traced_names(monkeypatch):
+    # The tracer reads spd_solve's matrix and right-hand side positionally,
+    # takes np.shape(matrix)[0] as the system's order (n, or n + 1 for a
+    # packed system of even order), and counts jitter retries as extra
+    # cho_factor calls within one solve.
+    calls = _trace_solves(monkeypatch)
+    for n in (30, 31):
+        ds = Dataset(x=np.random.default_rng(208).normal(size=(n, 2)), y=np.ones(n))
+        krr.fit_krr(ds, 0.1, KernelConfig())
+    assert len(calls) == 2
+    for n, (args, factors) in zip((30, 31), calls):
+        assert len(args) >= 2 and factors == [1]
+        assert np.shape(args[0]) == (n + 1 - n % 2, (n + 1) // 2)
+        assert np.shape(args[0])[0] in (n, n + 1)
+        assert np.shape(args[1]) == (n,)
+
+
+def test_jitter_retry_is_a_second_cho_factor_call(monkeypatch):
+    calls = _trace_solves(monkeypatch)
+    x = np.random.default_rng(209).normal(size=(20, 2))
+    ds = Dataset(x=np.concatenate([x, x]), y=np.ones(40))
+    krr.fit_krr(ds, 1e-20, KernelConfig())
+    assert [len(factors) for _, factors in calls] == [2]
