@@ -16,7 +16,6 @@ from .aggregate import (
     build_candidates,
     empirical_risk,
     hyper_sparse_aggregate,
-    model_predict,
     prepare_candidates,
     rank_contrasts,
     sa_tkrr,
@@ -74,7 +73,6 @@ from .transfer import (
     fit_ah_tkrr,
     fit_debias,
     fit_pooled,
-    fit_two_step,
 )
 
 __version__ = "0.1.0"

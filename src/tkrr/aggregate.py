@@ -46,7 +46,6 @@ __all__ = [
     "AggregationParams",
     "CandidateSet",
     "AggregateModel",
-    "model_predict",
     "split_uniform",
     "rank_contrasts",
     "build_candidates",
@@ -88,16 +87,16 @@ class CandidateSet:
     """Ranked sources and the candidate models they induce.
 
     ranks is a permutation of 1..m (rank 1 = smallest contrast, ties broken
-    by source index). nested_sets lists the m+1 induced source sets from
-    the empty set up to all sources, each in rank order. The candidate fit
-    of a set pools its sources in index order, so a pooled fit depends only
-    on the set and not on the ranking. candidates holds the m+1 models
-    (index 0 = target-only KRR) and may be empty on a ranking-only result.
+    by source index). nested_sets, derived from ranks, lists the m+1 induced
+    source sets from the empty set up to all sources, each in rank order.
+    The candidate fit of a set pools its sources in index order, so a pooled
+    fit depends only on the set and not on the ranking. candidates holds the
+    m+1 models (index 0 = target-only KRR) and may be empty on a
+    ranking-only result.
     """
 
     contrast_norms: NDArray[np.float64]
     ranks: NDArray[np.int64]
-    nested_sets: tuple[tuple[int, ...], ...]
     candidates: tuple = ()
 
     def __post_init__(self) -> None:
@@ -108,20 +107,24 @@ class CandidateSet:
             raise ValueError(f"ranks shape {ranks.shape} does not match {m} norms")
         if sorted(ranks.tolist()) != list(range(1, m + 1)):
             raise ValueError(f"ranks must be a permutation of 1..{m}: {ranks}")
-        if len(self.nested_sets) != m + 1 or self.nested_sets[0] != ():
-            raise ValueError("nested_sets must start empty and have m+1 entries")
         if self.candidates and len(self.candidates) != m + 1:
             raise ValueError(
                 f"expected {m + 1} candidates, got {len(self.candidates)}"
             )
         object.__setattr__(self, "contrast_norms", norms)
         object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "nested_sets", tuple(self.nested_sets))
         object.__setattr__(self, "candidates", tuple(self.candidates))
 
     @property
     def m(self) -> int:
         return self.contrast_norms.shape[0]
+
+    @property
+    def nested_sets(self) -> tuple[tuple[int, ...], ...]:
+        order = [0] * self.m
+        for k, r in enumerate(self.ranks, start=1):
+            order[int(r) - 1] = k
+        return tuple(tuple(order[:size]) for size in range(self.m + 1))
 
 
 @dataclass(frozen=True)
@@ -148,11 +151,6 @@ class AggregateModel:
         return WeightedSum(pair, (self.weight, 1.0 - self.weight))(x)
 
 
-def model_predict(model, x: NDArray) -> NDArray[np.float64]:
-    """Evaluate a fitted model, or any callable on covariate rows, at x."""
-    return np.asarray(model(x), dtype=np.float64)
-
-
 def split_uniform(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Random row split; the first part gets round(fraction * n) rows.
 
@@ -167,13 +165,6 @@ def split_uniform(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, D
     return data.split(min(max(n1, 1), data.n - 1), seed)
 
 
-def _nested_sets(ranks: NDArray[np.int64]) -> tuple[tuple[int, ...], ...]:
-    order = [0] * ranks.shape[0]
-    for k, r in enumerate(ranks, start=1):
-        order[int(r) - 1] = k
-    return tuple(tuple(order[:size]) for size in range(ranks.shape[0] + 1))
-
-
 def rank_contrasts(
     t1: Dataset,
     sources: Sequence[Dataset],
@@ -186,10 +177,8 @@ def rank_contrasts(
     Each source gets its own KRR fit at the source-rate ridge for its
     sample size; the contrast is the RKHS distance to the target-only fit
     on t1 (target_fit, if given). Returns ranking fields only, with an empty
-    candidate tuple.
+    candidate tuple; with no sources the ranking is empty (m = 0).
     """
-    if not sources:
-        raise ValueError("need at least one source to rank")
     lam0 = schedule_lambda_source(t1.n, schedules)
     f0 = fit_krr(t1, lam0, cfg) if target_fit is None else target_fit
     norms = np.empty(len(sources))
@@ -199,9 +188,7 @@ def rank_contrasts(
     order = np.argsort(norms, kind="stable")
     ranks = np.empty(len(sources), dtype=np.int64)
     ranks[order] = np.arange(1, len(sources) + 1)
-    return CandidateSet(
-        contrast_norms=norms, ranks=ranks, nested_sets=_nested_sets(ranks)
-    )
+    return CandidateSet(contrast_norms=norms, ranks=ranks)
 
 
 def _fit_candidate(
@@ -264,14 +251,13 @@ def prepare_candidates(
     """
     t1, t2 = split_uniform(target, 0.5, params.split_seed)
     f0 = fit_krr(t1, schedule_lambda_source(t1.n, schedules), cfg)
-    unranked = CandidateSet(np.empty(0), np.empty(0, np.int64), ((),))
-    ranked = rank_contrasts(t1, sources, schedules, cfg, f0) if sources else unranked
+    ranked = rank_contrasts(t1, sources, schedules, cfg, f0)
     return t2, build_candidates(t1, sources, ranked, schedules, cfg, f0)
 
 
 def empirical_risk(model, data: Dataset) -> float:
     """Mean squared prediction error of a fitted model on one dataset."""
-    r = data.y - model_predict(model, data.x)
+    r = data.y - model(data.x)
     return float(np.mean(r * r))
 
 
@@ -298,7 +284,7 @@ def hyper_sparse_aggregate(
     if not candidates:
         raise ValueError("need at least one candidate")
     t21, t22 = split_uniform(t2, 0.5, params.split_seed)
-    preds21 = [model_predict(f, t21.x) for f in candidates]
+    preds21 = [f(t21.x) for f in candidates]
     risks21 = np.array([float(np.mean((t21.y - p) ** 2)) for p in preds21])
     best = int(np.argmin(risks21))
     phi = _resolve_phi(params, len(candidates), t21.n)
@@ -312,7 +298,7 @@ def hyper_sparse_aggregate(
         return AggregateModel(
             idx_a=only, idx_b=only, weight=1.0, candidates=tuple(candidates)
         )
-    preds22 = {l: model_predict(candidates[l], t22.x) for l in survivors}
+    preds22 = {l: candidates[l](t22.x) for l in survivors}
     best_pair = None
     best_risk = math.inf
     for ia, a in enumerate(survivors):

@@ -6,8 +6,7 @@ Subcommands:
     rank       print per-source contrast norms and ranks
     plot       render a summary CSV to an SVG line chart
 
-Flag precedence: TKRR_THREADS env > --threads; --seed and --out override
-the config's seed and output_dir.
+--seed and --out override the config's seed and output_dir.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .aggregate import model_predict, rank_contrasts
+from .aggregate import rank_contrasts
 from .charts import ChartSpec, emit_svg_lines
 from .csvio import write_csv
 from .harness import (
@@ -83,7 +82,7 @@ def _cmd_fit(args) -> int:
     )
     err = harness.prediction_error(model, x_test, reference)
     out = Path(args.out or Path(config.output_dir) / "predictions.csv")
-    pred = model_predict(model, x_test)
+    pred = model(x_test)
     write_csv(out, ["prediction", "reference"], list(zip(pred, reference)))
     print(f"{args.method}: test_error={err!r} n_test={len(pred)} -> {out}")
     return 0

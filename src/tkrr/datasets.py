@@ -26,7 +26,6 @@ from .kernels import Dataset
 __all__ = [
     "StudyConfig",
     "Standardizer",
-    "scan_categories",
     "load_csv",
     "load_studies",
     "subsample_split",
@@ -110,11 +109,6 @@ def _levels(tables) -> dict[str, tuple[str, ...]]:
                 if v:
                     bucket.add(v)
     return {c: tuple(sorted(s)) for c, s in levels.items()}
-
-
-def scan_categories(configs: Sequence[StudyConfig]) -> dict[str, tuple[str, ...]]:
-    """Collect the sorted level universe of every categorical column."""
-    return _levels((cfg, *_read_table(cfg.path)) for cfg in configs if _categorical(cfg))
 
 
 def load_csv(

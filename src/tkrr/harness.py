@@ -36,7 +36,6 @@ except ImportError:  # pragma: no cover
 from .aggregate import (
     AggregationParams,
     aew_aggregate,
-    model_predict,
     prepare_candidates,
     sa_tkrr,
 )
@@ -57,7 +56,7 @@ from .krr import (
 )
 from .rng import derive_seed
 from .synthetic import SimSpec, gen_scenario, gen_test
-from .transfer import SourceCollection, fit_pooled, fit_two_step
+from .transfer import SourceCollection, fit_ah_tkrr, fit_pooled
 
 __all__ = [
     "METHODS",
@@ -77,9 +76,6 @@ __all__ = [
 
 METHODS = ("KRR", "AhTKRR", "AhTKRR_WD", "Pooled_TKRR", "SA_TKRR", "AEW_TKRR")
 SWEEPS = ("s", "a_h", "n0", "n_ah", "m")
-
-RESULT_HEADER = ("method", "sweep_value", "replication", "seed", "test_error", "wall_ms")
-SUMMARY_HEADER = ("method", "sweep_value", "mean_error", "std_error", "n_ok", "n_failed")
 
 _BLAS_ENV = (
     "OMP_NUM_THREADS",
@@ -174,28 +170,19 @@ def _normalize_sweep(name: str) -> str:
 
 
 def config_from_json(source: str | Path | dict) -> ExperimentConfig:
-    """Build a config from a JSON document (path, text, or parsed dict)."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = Path(source).read_text() if Path(str(source)).is_file() else str(source)
-        doc = json.loads(text)
+    """Build a config from a JSON config file's path or its parsed dict."""
+    doc = source if isinstance(source, dict) else json.loads(Path(source).read_text())
     scen = doc["scenario"]
     if isinstance(scen, dict):
-        if "fixed_shifts" in scen and scen["fixed_shifts"] is not None:
-            scen = dict(scen, fixed_shifts=tuple(scen["fixed_shifts"]))
         scenario = SimSpec(**scen)
     else:
-        scenario = tuple(
-            StudyConfig(**dict(c, feature_columns=tuple(c["feature_columns"])))
-            for c in scen
-        )
+        scenario = tuple(StudyConfig(**c) for c in scen)
     sweep = doc["sweep"]
     kwargs = dict(
         scenario=scenario,
-        methods=tuple(doc["methods"]),
+        methods=doc["methods"],
         sweep_name=sweep["name"],
-        sweep_values=tuple(sweep["values"]),
+        sweep_values=sweep["values"],
     )
     if "schedules" in doc:
         kwargs["schedules"] = LambdaSchedule(**doc["schedules"])
@@ -203,9 +190,7 @@ def config_from_json(source: str | Path | dict) -> ExperimentConfig:
         kwargs["aggregation"] = AggregationParams(**doc["aggregation"])
     if "kernel" in doc:
         kwargs["kernel"] = KernelConfig(**doc["kernel"])
-    if "fixed" in doc:
-        kwargs["fixed"] = tuple(doc["fixed"].items())
-    for key in ("replications", "seed", "output_dir"):
+    for key in ("fixed", "replications", "seed", "output_dir"):
         if key in doc:
             kwargs[key] = doc[key]
     return ExperimentConfig(**kwargs)
@@ -214,21 +199,15 @@ def config_from_json(source: str | Path | dict) -> ExperimentConfig:
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Inverse of config_from_json, for archiving resolved configs."""
     doc = dataclasses.asdict(config)
-    doc["sweep"] = {"name": doc.pop("sweep_name"), "values": list(doc.pop("sweep_values"))}
+    doc["sweep"] = {"name": doc.pop("sweep_name"), "values": doc.pop("sweep_values")}
     doc["fixed"] = dict(doc.pop("fixed"))
-    if isinstance(config.scenario, SimSpec):
-        if doc["scenario"]["fixed_shifts"] is not None:
-            doc["scenario"]["fixed_shifts"] = list(doc["scenario"]["fixed_shifts"])
-    else:
-        for c in doc["scenario"]:
-            c["feature_columns"] = list(c["feature_columns"])
     return doc
 
 
 def prediction_error(model, x: NDArray, reference: NDArray) -> float:
     """Mean squared deviation of model predictions from the reference."""
     ref = np.asarray(reference, dtype=np.float64)
-    pred = model_predict(model, x)
+    pred = model(x)
     if pred.shape != ref.shape:
         raise ValueError(f"length mismatch: {pred.shape} vs {ref.shape}")
     d = pred - ref
@@ -345,13 +324,12 @@ def _fit_method(
         idx = tuple(range(1, len(sources) + 1)) if method == "Pooled_TKRR" else transferable
         coll = SourceCollection(sources=sources, transferable=idx)
         lam1 = schedule_lambda_source(coll.n_transferable + target.n, sched)
-        pooled = _pooled(shared, target, coll, lam1, cfg)
         if method == "AhTKRR_WD":
-            return pooled
+            return _pooled(shared, target, coll, lam1, cfg)
         # Offset magnitude defaults to 1 when the transferable set is taken
         # as given rather than estimated.
         lam2 = schedule_lambda_debias(target.n, 1.0, sched)
-        return fit_two_step(target, pooled, lam2, cfg)
+        return fit_ah_tkrr(target, coll, lam1, lam2, cfg, partial(_pooled, shared))
 
     if method not in ("SA_TKRR", "AEW_TKRR"):
         raise ValueError(f"unknown method {method!r}")
@@ -402,10 +380,7 @@ def _run_cell(config: ExperimentConfig, v_index: int, rep: int, studies=None) ->
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """TKRR_THREADS env beats the argument; fall back to the core count."""
-    env = os.environ.get("TKRR_THREADS")
-    if env:
-        return max(1, int(env))
+    """The worker count: threads if given, else the core count."""
     if threads is not None:
         return max(1, int(threads))
     return os.cpu_count() or 1
@@ -480,6 +455,6 @@ def emit_csv(rows: Sequence[ResultRow | SummaryRow], path: str | Path) -> Path:
     """Write result or summary rows with a stable header and full precision."""
     if not rows:
         raise ValueError("refusing to write an empty table")
-    header = RESULT_HEADER if isinstance(rows[0], ResultRow) else SUMMARY_HEADER
+    header = [f.name for f in dataclasses.fields(rows[0])]
     write_csv(path, header, [[getattr(r, f) for f in header] for r in rows])
     return Path(path)

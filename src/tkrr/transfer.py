@@ -20,7 +20,6 @@ __all__ = [
     "SourceCollection",
     "fit_pooled",
     "fit_debias",
-    "fit_two_step",
     "fit_ah_tkrr",
 ]
 
@@ -89,13 +88,6 @@ def fit_debias(
     return fit_krr(Dataset(x=target.x, y=w), lambda2, cfg)
 
 
-def fit_two_step(
-    target: Dataset, pooled: RepresenterFunction, lambda2: float, cfg: KernelConfig
-) -> WeightedSum:
-    """Debias a pooled fit on the target: pooled + fit_debias(...), in that order."""
-    return WeightedSum((pooled, fit_debias(target, pooled, lambda2, cfg)), (1.0, 1.0))
-
-
 def fit_ah_tkrr(
     target: Dataset,
     sources: SourceCollection,
@@ -111,4 +103,4 @@ def fit_ah_tkrr(
     lookup here.
     """
     pooled = (pool or fit_pooled)(target, sources, lambda1, cfg)
-    return fit_two_step(target, pooled, lambda2, cfg)
+    return WeightedSum((pooled, fit_debias(target, pooled, lambda2, cfg)), (1.0, 1.0))

@@ -27,7 +27,6 @@ import pytest
 from tkrr.aggregate import (
     AggregationParams,
     hyper_sparse_aggregate,
-    model_predict,
     rank_contrasts,
     split_uniform,
 )
@@ -124,8 +123,8 @@ class TestCriterion1:
             params = AggregationParams(split_seed=case)
             agg = hyper_sparse_aggregate(funcs, t2, params)
             _, t22 = split_uniform(t2, 0.5, params.split_seed)
-            fa = model_predict(agg.candidates[agg.idx_a], t22.x)
-            fb = model_predict(agg.candidates[agg.idx_b], t22.x)
+            fa = agg.candidates[agg.idx_a](t22.x)
+            fb = agg.candidates[agg.idx_b](t22.x)
             u, v = fa - fb, fb - t22.y
             mu, muv, mvv = float(u @ u), float(u @ v), float(v @ v)
 

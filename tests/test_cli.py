@@ -164,7 +164,6 @@ class TestRealDataEndToEnd:
         # Three bad rows per study are dropped; g expands to three indicators.
         target, sources = harness.load_studies(harness.config_from_json(cfg).scenario)
         assert target.x.shape == (60, 4) and [s.x.shape for s in sources] == [(40, 4)] * 3
-        monkeypatch.delenv("TKRR_THREADS", raising=False)
         loads = []
         real_load = harness.load_studies
         monkeypatch.setattr(

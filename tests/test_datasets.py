@@ -12,7 +12,6 @@ from tkrr.datasets import (
     fit_standardizer,
     load_csv,
     load_studies,
-    scan_categories,
     subsample_split,
 )
 from tkrr.kernels import Dataset
@@ -78,10 +77,9 @@ class TestCategorical:
             StudyConfig(path=p1, feature_columns=("categorical:g",), response_column="y", role="target"),
             StudyConfig(path=p2, feature_columns=("categorical:g",), response_column="y"),
         ]
-        cats = scan_categories(cfgs)
-        assert cats == {"g": ("a", "b", "c")}
         target, sources = load_studies(cfgs)
-        assert target.d == 3 and sources[0].d == 3
+        # The shared levels are a, b, c: the target's a and b, the source's c.
+        np.testing.assert_array_equal(target.x, [[1, 0, 0], [0, 1, 0]])
         np.testing.assert_array_equal(sources[0].x, [[0, 0, 1]])
 
     def test_row_cut_short_before_categorical_column_is_dropped(self, tmp_path, caplog):
@@ -103,8 +101,8 @@ class TestCategorical:
         np.testing.assert_array_equal(ds.x, [[0, 0]])
 
     def test_load_studies_opens_each_file_once(self, tmp_path, monkeypatch):
-        # One pass per file gives the same Datasets, bit for bit, as scanning
-        # the levels of every file and then loading each one.
+        # One pass per file gives the same Datasets, bit for bit, as loading
+        # each file with the levels of every file.
         texts = {
             "t.csv": "u,g,y\n0.1,b,1.5\nbad,a,2\n0.30000000000000004,a,-1\n",
             "s1.csv": "u;g;y\n1e-3;c;0.25\n2;;3\n7;b;1\n",
@@ -116,8 +114,7 @@ class TestCategorical:
                         response_column="y", role="target" if name == "t.csv" else "source")
             for name in ("s1.csv", "t.csv", "s2.csv")
         ]
-        cats = scan_categories(cfgs)
-        assert cats == {"g": ("a", "b", "c", "d")}
+        cats = {"g": ("a", "b", "c", "d")}
         expect = [load_csv(c, cats) for c in cfgs]
         opened = []
         monkeypatch.setattr(

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,28 @@ from tkrr.synthetic import SimSpec, gen_scenario, scenario_to_csv
 from tkrr.transfer import SourceCollection, fit_pooled
 
 N_CASES = 100
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# sha256 of json.dumps(config_to_dict(config_from_json(path)), indent=2), the
+# config.json that `tkrr simulate` archives, for every shipped config.
+ARCHIVED_CONFIG_SHA256 = {
+    "fig3.json": "50384fd90347e3205a9620f33858d0b27cea9d66ead628c4e80edf9acc52b359",
+    "fig4.json": "0e7cb2927a8248aa9b465ad95ea6cc167d34851d28c687194c936a316afb14bf",
+    "fig5.json": "b6de8379b16e07213418a2d79c11810215689d2273cbcf05cfab2f595599ab5d",
+    "fig6.json": "ab059062f40d06169981626b47b12148b2046158860528cddba550beaeefa4f9",
+    "usedcar_audi.json": "967e2df5886941a75a486f7b526575569f97071400e5c10bad383dc27ac3afba",
+    "usedcar_bmw.json": "39aa58c255a954e659ce3d1162616eb1a6340869f243eb6e9b9c417b686f2b51",
+    "usedcar_ford.json": "58a8c92426859ba0935e17a269c2630850fe950c716297c5c85ed56301fa127a",
+    "usedcar_hyundi.json": "a4099d4ad023f1e5d795ee568a0e69488dbb598a591dcfae2334ca501c007c9c",
+    "usedcar_merc.json": "3cf7fd2a43e3aea5c2c4e82da1f7cd07e4806e5d5ddd2ad3eb5a090cbce72f5d",
+    "usedcar_skoda.json": "a608a3f197db4adad6706f8e91d80629df695e9437ca387b9e0e97c32cf59bef",
+    "usedcar_toyota.json": "fe08e06bfd38393dcc1e814213cbc5d11eac58ceeccafe84851b42f2632be448",
+    "usedcar_vauxhall.json": "482fef5e8fea5ec734e9fcd38e94877cb3081c498bc3ad7c22e3966d41dee127",
+    "usedcar_vw.json": "a0ab8dfd21c01831e6dc0906cc88f9955caeb42d6755ad680e89a7baed8111ff",
+    "wine_n100.json": "753e5adb8c52692b30d64a22b7be3430b1d3be63a1e99fe44634fc7c78a8eda0",
+    "wine_n200.json": "f8c08fa5d0c3eccdfb2b61f30ebfb22ca5b489eb3ecaf53fab8ede7944e2728f",
+    "wine_n300.json": "4a6dcd1274435a3971c8bf1b2683fce8325dc140546903c9c295bde29b1d468c",
+}
 
 
 def tiny_config(**kw):
@@ -421,6 +445,12 @@ class TestConfigPlumbing:
         )
         assert config_from_json(config_to_dict(cfg)) == cfg
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+    def test_shipped_config_archives_unchanged(self, name):
+        text = json.dumps(config_to_dict(config_from_json(CONFIGS / name)), indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == ARCHIVED_CONFIG_SHA256[name]
+        assert config_from_json(json.loads(text)) == config_from_json(CONFIGS / name)
+
     def test_scenario_seed_rejected(self):
         # Cells draw from the config seed; a scenario seed would be ignored.
         doc = config_to_dict(tiny_config())
@@ -449,11 +479,7 @@ class TestConfigPlumbing:
 
 
 class TestThreads:
-    def test_env_overrides_argument(self, monkeypatch):
-        monkeypatch.setenv("TKRR_THREADS", "3")
-        assert resolve_threads(8) == 3
-
-    def test_argument_when_no_env(self, monkeypatch):
-        monkeypatch.delenv("TKRR_THREADS", raising=False)
+    def test_argument_when_no_env(self):
         assert resolve_threads(2) == 2
+        assert resolve_threads(0) == 1
         assert resolve_threads() >= 1

@@ -1,26 +1,87 @@
 """The names the benchmark's tracer and host-facts probe hook, by name.
 
 perfbench/tracer.py wraps every function listed in a traced module's
-__all__, plus harness._run_cell and the module-level kernels.cho_factor;
-perfbench/hostfacts.py enters harness._limit_blas() and starts pool
-workers with harness._pin_blas_env. Renaming or inlining any of these
-would silently empty a traced run's counters, so they are pinned here.
+__all__, plus harness._run_cell and the module-level kernels.cho_factor,
+reads a few attributes of their results, and counts dropped rows from the
+datasets logger; perfbench/hostfacts.py enters harness._limit_blas() and
+starts pool workers with harness._pin_blas_env. Renaming or inlining any of
+these would silently empty a traced run's counters, so they are pinned here.
 """
 
+import importlib
 import inspect
+import logging
 
 import numpy as np
 
-from tkrr import harness, kernels, krr, transfer
+from tkrr import aggregate, datasets, harness, kernels, krr
+from tkrr.aggregate import AggregationParams
+from tkrr.datasets import StudyConfig
 from tkrr.kernels import Dataset, KernelConfig
+from tkrr.krr import LambdaSchedule
+
+# Every layer.function whose span or result the tracer reads.
+TRACED = (
+    "kernels.gram_matrix",
+    "kernels.spd_solve",
+    "kernels.rkhs_norm_diff",
+    "krr.fit_krr",
+    "transfer.fit_pooled",
+    "transfer.fit_debias",
+    "transfer.fit_ah_tkrr",
+    "aggregate.rank_contrasts",
+    "aggregate.build_candidates",
+    "aggregate.hyper_sparse_aggregate",
+    "aggregate.sa_tkrr",
+    "aggregate.aew_aggregate",
+    "synthetic.gen_scenario",
+    "synthetic.gen_test",
+    "datasets.load_csv",
+    "datasets.load_studies",
+    "datasets.subsample_split",
+    "datasets.fit_standardizer",
+    "datasets.apply_standardizer",
+    "harness.prediction_error",
+    "harness.run_sweep",
+    "harness.summarize",
+    "harness.emit_csv",
+)
 
 
 def test_traced_kernel_functions_are_public():
-    for name in ("gram_matrix", "spd_solve"):
-        assert name in kernels.__all__
-        assert inspect.isfunction(getattr(kernels, name))
-    assert "fit_krr" in krr.__all__
-    assert "fit_pooled" in transfer.__all__
+    for name in TRACED:
+        layer, fname = name.split(".")
+        mod = importlib.import_module(f"tkrr.{layer}")
+        fn = getattr(mod, fname)
+        assert fname in mod.__all__, name
+        assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, name
+
+
+def test_result_attributes_the_tracer_reads():
+    rng = np.random.default_rng(210)
+    target = Dataset(x=rng.random((24, 1)), y=rng.normal(size=24))
+    sources = [Dataset(x=rng.random((n, 1)), y=rng.normal(size=n)) for n in (10, 12)]
+    sched, cfg = LambdaSchedule(scale=0.5), KernelConfig(bandwidth=0.5)
+    ranked = aggregate.rank_contrasts(target, sources, sched, cfg)
+    assert sorted(ranked.ranks.tolist()) == [1, 2]
+    built = aggregate.build_candidates(target, sources, ranked, sched, cfg)
+    assert len(built.candidates) == 3
+    mixed = aggregate.aew_aggregate(built.candidates, target, 1.0)
+    assert len(mixed.weights) == 3
+    model = aggregate.sa_tkrr(target, sources, AggregationParams(split_seed=3), sched, cfg)
+    assert {model.idx_a, model.idx_b} <= {0, 1, 2} and 0.0 <= model.weight <= 1.0
+
+
+def test_dropped_rows_log_record(tmp_path, caplog):
+    # The tracer adds up args[1] of every datasets record whose message
+    # says "dropped" and that has three arguments.
+    path = tmp_path / "s.csv"
+    path.write_text("u,y\n1,2\nbad,3\n4,\n5,6\n")
+    with caplog.at_level(logging.INFO, logger=datasets.__name__):
+        datasets.load_csv(StudyConfig(path=str(path), feature_columns=("u",), response_column="y"))
+    (record,) = [r for r in caplog.records if "dropped" in str(r.msg)]
+    assert record.name == datasets.__name__
+    assert len(record.args) == 3 and record.args[1] == 2
 
 
 def test_cell_and_blas_hooks_exist(monkeypatch):
