@@ -151,18 +151,15 @@ class AggregateModel:
         return WeightedSum(pair, (self.weight, 1.0 - self.weight))(x)
 
 
-def split_uniform(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Random row split; the first part gets round(fraction * n) rows.
+def split_uniform(data: Dataset, seed: int) -> tuple[Dataset, Dataset]:
+    """Random row split in halves; the first gets the extra row of an odd n.
 
-    Rounding is half-up, the permutation comes from a generator seeded with
-    seed alone, and both parts keep their rows in original order.
+    The permutation comes from a generator seeded with seed alone, and both
+    parts keep their rows in original order.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must lie strictly in (0, 1), got {fraction}")
     if data.n < 2:
         raise TooFewRowsError("need at least two rows to split")
-    n1 = int(math.floor(fraction * data.n + 0.5))
-    return data.split(min(max(n1, 1), data.n - 1), seed)
+    return data.split((data.n + 1) // 2, seed)
 
 
 def rank_contrasts(
@@ -219,19 +216,18 @@ def build_candidates(
     ranked: CandidateSet,
     schedules: LambdaSchedule,
     cfg: KernelConfig,
-    target_fit: RepresenterFunction | None = None,
+    target_fit: RepresenterFunction,
 ) -> CandidateSet:
     """Fit the m+1 candidate models induced by a ranking.
 
-    Candidate 0 is target-only KRR on t1 (target_fit, if given); candidate l
+    Candidate 0 is target_fit, the target-only KRR fit on t1; candidate l
     pools t1 with the l lowest-contrast sources, in index order, and runs the
     two-step fit, with the debias ridge using the plug-in offset max contrast
     within the set.
     """
-    first = () if target_fit is None else (target_fit,)
-    candidates = first + tuple(
+    candidates = (target_fit,) + tuple(
         _fit_candidate(level, t1, sources, ranked, schedules, cfg)
-        for level in range(len(first), ranked.m + 1)
+        for level in range(1, ranked.m + 1)
     )
     return dataclasses.replace(ranked, candidates=candidates)
 
@@ -249,7 +245,7 @@ def prepare_candidates(
     candidate set. The target-only fit on T1 serves the ranking and is
     candidate 0; with no sources it is the only candidate.
     """
-    t1, t2 = split_uniform(target, 0.5, params.split_seed)
+    t1, t2 = split_uniform(target, params.split_seed)
     f0 = fit_krr(t1, schedule_lambda_source(t1.n, schedules), cfg)
     ranked = rank_contrasts(t1, sources, schedules, cfg, f0)
     return t2, build_candidates(t1, sources, ranked, schedules, cfg, f0)
@@ -259,12 +255,6 @@ def empirical_risk(model, data: Dataset) -> float:
     """Mean squared prediction error of a fitted model on one dataset."""
     r = data.y - model(data.x)
     return float(np.mean(r * r))
-
-
-def _resolve_phi(params: AggregationParams, n_candidates: int, n21: int) -> float:
-    if params.phi == "auto":
-        return math.sqrt(math.log(n_candidates + 1) / n21)
-    return float(params.phi)
 
 
 def hyper_sparse_aggregate(
@@ -283,11 +273,14 @@ def hyper_sparse_aggregate(
     """
     if not candidates:
         raise ValueError("need at least one candidate")
-    t21, t22 = split_uniform(t2, 0.5, params.split_seed)
+    t21, t22 = split_uniform(t2, params.split_seed)
     preds21 = [f(t21.x) for f in candidates]
     risks21 = np.array([float(np.mean((t21.y - p) ** 2)) for p in preds21])
     best = int(np.argmin(risks21))
-    phi = _resolve_phi(params, len(candidates), t21.n)
+    if params.phi == "auto":
+        phi = math.sqrt(math.log(len(candidates) + 1) / t21.n)
+    else:
+        phi = float(params.phi)
     survivors = []
     for l, p in enumerate(preds21):
         dist = math.sqrt(float(np.mean((preds21[best] - p) ** 2)))

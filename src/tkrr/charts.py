@@ -42,8 +42,6 @@ def _tick_label(v: float) -> str:
 
 def _pad_range(lo: float, hi: float) -> tuple[float, float]:
     # 5% padding; degenerate ranges get an absolute pad so scales stay finite
-    if hi < lo:
-        lo, hi = hi, lo
     span = hi - lo
     pad = 0.05 * span if span > 0 else max(0.05 * abs(hi), 0.5)
     return lo - pad, hi + pad

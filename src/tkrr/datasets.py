@@ -171,8 +171,9 @@ def load_studies(
     """Load all studies of an experiment with one shared categorical layout.
 
     Exactly one config must have the target role; sources keep config order.
-    Each file is opened once and its contents kept, which take less memory
-    than parsed rows, until the shared categorical levels are known.
+    Each file is opened once and its text parsed twice: once for the shared
+    categorical levels (only a study with a categorical feature) and once
+    for the rows.
     """
     targets = [c for c in configs if c.role == "target"]
     if len(targets) != 1:

@@ -118,24 +118,21 @@ class ExperimentConfig:
         if len(set(methods)) != len(methods):
             raise ValueError("duplicate methods")
         object.__setattr__(self, "methods", methods)
-        name = _normalize_sweep(self.sweep_name)
-        object.__setattr__(self, "sweep_name", name)
+        fixed = dict(self.fixed)
+        for name in (self.sweep_name, *fixed):
+            if name not in SWEEPS:
+                raise ValueError(f"unknown sweep parameter {name!r}, want one of {SWEEPS}")
+        if not isinstance(self.scenario, SimSpec) and self.sweep_name not in ("n0", "n_ah"):
+            raise ValueError(f"sweep {self.sweep_name!r} needs a synthetic scenario")
         if not self.sweep_values:
             raise ValueError("sweep values must be nonempty")
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
-        object.__setattr__(
-            self,
-            "fixed",
-            tuple((_normalize_sweep(k), v) for k, v in dict(self.fixed).items()),
-        )
+        object.__setattr__(self, "fixed", tuple(fixed.items()))
 
     def fixed_value(self, name: str, default=None):
-        for k, v in self.fixed:
-            if k == name:
-                return v
-        return default
+        return dict(self.fixed).get(name, default)
 
 
 @dataclass(frozen=True)
@@ -158,42 +155,26 @@ class SummaryRow:
     n_failed: int
 
 
-_SWEEP_ALIASES = {"n_a_h": "n_ah", "n_0": "n0"}
-
-
-def _normalize_sweep(name: str) -> str:
-    canon = str(name).lower().replace("|", "").replace("{", "").replace("}", "")
-    canon = _SWEEP_ALIASES.get(canon, canon)
-    if canon not in SWEEPS:
-        raise ValueError(f"unknown sweep parameter {name!r}, want one of {SWEEPS}")
-    return canon
+_SECTIONS = {"schedules": LambdaSchedule, "aggregation": AggregationParams, "kernel": KernelConfig}
 
 
 def config_from_json(source: str | Path | dict) -> ExperimentConfig:
-    """Build a config from a JSON config file's path or its parsed dict."""
-    doc = source if isinstance(source, dict) else json.loads(Path(source).read_text())
-    scen = doc["scenario"]
+    """Build a config from a JSON config file's path or its parsed dict.
+
+    Every key is an ExperimentConfig field, except that "sweep" holds the
+    sweep's "name" and "values"; an unknown key raises TypeError.
+    """
+    doc = dict(source if isinstance(source, dict) else json.loads(Path(source).read_text()))
+    scen, sweep = doc.pop("scenario"), doc.pop("sweep")
     if isinstance(scen, dict):
         scenario = SimSpec(**scen)
     else:
         scenario = tuple(StudyConfig(**c) for c in scen)
-    sweep = doc["sweep"]
-    kwargs = dict(
-        scenario=scenario,
-        methods=doc["methods"],
-        sweep_name=sweep["name"],
-        sweep_values=sweep["values"],
-    )
-    if "schedules" in doc:
-        kwargs["schedules"] = LambdaSchedule(**doc["schedules"])
-    if "aggregation" in doc:
-        kwargs["aggregation"] = AggregationParams(**doc["aggregation"])
-    if "kernel" in doc:
-        kwargs["kernel"] = KernelConfig(**doc["kernel"])
-    for key in ("fixed", "replications", "seed", "output_dir"):
+    for key, cls in _SECTIONS.items():
         if key in doc:
-            kwargs[key] = doc[key]
-    return ExperimentConfig(**kwargs)
+            doc[key] = cls(**doc[key])
+    sweep_args = {f"sweep_{k}": v for k, v in sweep.items()}
+    return ExperimentConfig(scenario=scenario, **sweep_args, **doc)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -394,8 +375,6 @@ def run_sweep(config: ExperimentConfig, threads: int | None = None) -> list[Resu
     identical no matter how cells were scheduled. A failed fit (LinAlgError
     or TooFewRowsError) keeps its row with a blank test_error; the run goes on.
     """
-    if not isinstance(config.scenario, SimSpec) and config.sweep_name not in ("n0", "n_ah"):
-        raise ValueError(f"sweep {config.sweep_name!r} needs a synthetic scenario")
     studies = None if isinstance(config.scenario, SimSpec) else load_studies(config.scenario)
     n_threads = resolve_threads(threads)
     cells = [
@@ -403,8 +382,9 @@ def run_sweep(config: ExperimentConfig, threads: int | None = None) -> list[Resu
         for vi in range(len(config.sweep_values))
         for rep in range(config.replications)
     ]
+    run = partial(_run_cell, config, studies=studies)
     if n_threads <= 1 or len(cells) <= 1:
-        per_cell = [_run_cell(config, vi, rep, studies) for vi, rep in cells]
+        per_cell = list(map(run, *zip(*cells)))
     else:
         with ProcessPoolExecutor(
             max_workers=n_threads,
@@ -412,14 +392,7 @@ def run_sweep(config: ExperimentConfig, threads: int | None = None) -> list[Resu
             initializer=_pin_blas_env,
         ) as pool:
             per_cell = list(
-                pool.map(
-                    _run_cell,
-                    [config] * len(cells),
-                    [vi for vi, _ in cells],
-                    [rep for _, rep in cells],
-                    [studies] * len(cells),
-                    chunksize=max(1, len(cells) // (4 * n_threads)),
-                )
+                pool.map(run, *zip(*cells), chunksize=max(1, len(cells) // (4 * n_threads)))
             )
     order = {v: i for i, v in enumerate(config.sweep_values)}
     rows = [row for chunk in per_cell for row in chunk]

@@ -63,15 +63,13 @@ class SimSpec:
     fixed_shifts: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        ex = self.example.lower()
-        if ex not in EXAMPLES:
+        if self.example not in EXAMPLES:
             raise ValueError(f"unknown example {self.example!r}, want one of {sorted(EXAMPLES)}")
-        object.__setattr__(self, "example", ex)
         if self.s < 0:
             raise ValueError(f"s must be nonnegative, got {self.s}")
         if self.m < 0:
             raise ValueError(f"m must be nonnegative, got {self.m}")
-        d, sigma, n0, n_k, extra = EXAMPLES[ex]
+        d, sigma, n0, n_k, extra = EXAMPLES[self.example]
         if extra and self.s >= 0.4:
             raise ValueError(
                 f"modified designs need s < 0.4 so negative shifts U(s, 0.4) exist, got s={self.s}"
@@ -106,8 +104,7 @@ class SimSpec:
 
 def gen_true_function(example: str, shift: float) -> Callable[[NDArray], NDArray]:
     """Regression function of the given design at one shift value."""
-    ex = example.lower()
-    if ex == "ex1":
+    if example == "ex1":
 
         def f(x: NDArray) -> NDArray:
             x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -116,7 +113,7 @@ def gen_true_function(example: str, shift: float) -> Callable[[NDArray], NDArray
                 np.abs(x1 - shift - 0.5)
             )
 
-    elif ex in ("ex2", "ex2mod"):
+    elif example in ("ex2", "ex2mod"):
 
         def f(x: NDArray) -> NDArray:
             x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -126,7 +123,7 @@ def gen_true_function(example: str, shift: float) -> Callable[[NDArray], NDArray
                 - np.exp(x[:, 1] ** 2 - x[:, 2] ** 2)
             )
 
-    elif ex in ("ex3", "ex3mod"):
+    elif example in ("ex3", "ex3mod"):
 
         def f(x: NDArray) -> NDArray:
             x = np.atleast_2d(np.asarray(x, dtype=np.float64))

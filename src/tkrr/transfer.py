@@ -50,10 +50,6 @@ class SourceCollection:
         object.__setattr__(self, "transferable", idx)
 
     @property
-    def m(self) -> int:
-        return len(self.sources)
-
-    @property
     def n_transferable(self) -> int:
         return sum(self.sources[i - 1].n for i in self.transferable)
 

@@ -122,7 +122,7 @@ class TestCriterion1:
             t2 = Dataset(x=x, y=y)
             params = AggregationParams(split_seed=case)
             agg = hyper_sparse_aggregate(funcs, t2, params)
-            _, t22 = split_uniform(t2, 0.5, params.split_seed)
+            _, t22 = split_uniform(t2, params.split_seed)
             fa = agg.candidates[agg.idx_a](t22.x)
             fb = agg.candidates[agg.idx_b](t22.x)
             u, v = fa - fb, fb - t22.y

@@ -17,7 +17,13 @@ from tkrr.aggregate import (
     sa_tkrr,
     split_uniform,
 )
-from tkrr.kernels import Dataset, KernelConfig, RepresenterFunction, WeightedSum
+from tkrr.kernels import (
+    Dataset,
+    KernelConfig,
+    RepresenterFunction,
+    TooFewRowsError,
+    WeightedSum,
+)
 from tkrr.krr import (
     LambdaSchedule,
     fit_krr,
@@ -47,35 +53,32 @@ def _function(rng, d=1, n_max=8):
 class TestSplitUniform:
     def test_rounding_rule(self):
         rng = np.random.default_rng(400)
-        a, b = split_uniform(_dataset(rng, 11), 0.5, seed=0)
+        a, b = split_uniform(_dataset(rng, 11), seed=0)
         assert (a.n, b.n) == (6, 5)
 
     def test_partition_properties(self):
         rng = np.random.default_rng(401)
         for _ in range(N_CASES):
             n = int(rng.integers(2, 60))
-            frac = float(rng.uniform(0.1, 0.9))
             seed = int(rng.integers(0, 2**32))
             ds = _dataset(rng, n)
-            a, b = split_uniform(ds, frac, seed)
-            assert a.n == min(max(int(math.floor(frac * n + 0.5)), 1), n - 1)
+            a, b = split_uniform(ds, seed)
+            assert a.n == min(max(int(math.floor(0.5 * n + 0.5)), 1), n - 1)
             assert a.n + b.n == n
             merged = np.sort(np.concatenate([a.y, b.y]))
             assert np.array_equal(merged, np.sort(ds.y))
-            a2, b2 = split_uniform(ds, frac, seed)
+            a2, b2 = split_uniform(ds, seed)
             assert np.array_equal(a.x, a2.x) and np.array_equal(b.y, b2.y)
 
     def test_keeps_row_order(self):
         ds = Dataset(x=np.arange(10.0)[:, None], y=np.arange(10.0))
-        a, b = split_uniform(ds, 0.5, seed=3)
+        a, b = split_uniform(ds, seed=3)
         assert np.all(np.diff(a.y) > 0) and np.all(np.diff(b.y) > 0)
 
     def test_validation(self):
         rng = np.random.default_rng(402)
-        with pytest.raises(ValueError):
-            split_uniform(_dataset(rng, 5), 0.0, 0)
-        with pytest.raises(ValueError):
-            split_uniform(_dataset(rng, 1), 0.5, 0)
+        with pytest.raises(TooFewRowsError):
+            split_uniform(_dataset(rng, 1), 0)
 
 
 class TestRankContrasts:
@@ -140,12 +143,10 @@ class TestBuildCandidates:
         t1 = _dataset(rng, 12)
         sources = [_dataset(rng, n) for n in (6, 9, 7)]
         ranked = rank_contrasts(t1, sources, SCHED, CFG)
-        cs = build_candidates(t1, sources, ranked, SCHED, CFG)
+        f0 = fit_krr(t1, schedule_lambda_source(12, SCHED), CFG)
+        cs = build_candidates(t1, sources, ranked, SCHED, CFG, f0)
         assert len(cs.candidates) == 4
-        krr = cs.candidates[0]
-        assert isinstance(krr, RepresenterFunction)
-        expect = fit_krr(t1, schedule_lambda_source(12, SCHED), CFG)
-        assert np.array_equal(krr.coefficients, expect.coefficients)
+        assert cs.candidates[0] is f0
         for level, model in enumerate(cs.candidates[1:], start=1):
             assert isinstance(model, WeightedSum)
             assert model.weights.tolist() == [1.0, 1.0]
@@ -216,7 +217,7 @@ class TestHyperSparse:
         for _ in range(N_CASES):
             candidates, t2, params = _aggregate_case(rng)
             agg = hyper_sparse_aggregate(candidates, t2, params)
-            _, t22 = split_uniform(t2, 0.5, params.split_seed)
+            _, t22 = split_uniform(t2, params.split_seed)
             mix_risk = empirical_risk(agg, t22)
             for idx in (agg.idx_a, agg.idx_b):
                 assert mix_risk <= empirical_risk(candidates[idx], t22) + 1e-10
@@ -226,7 +227,7 @@ class TestHyperSparse:
         for _ in range(50):
             candidates, t2, params = _aggregate_case(rng, n_candidates=4)
             agg = hyper_sparse_aggregate(candidates, t2, params)
-            _, t22 = split_uniform(t2, 0.5, params.split_seed)
+            _, t22 = split_uniform(t2, params.split_seed)
             fa = candidates[agg.idx_a](t22.x)
             fb = candidates[agg.idx_b](t22.x)
             grid = np.linspace(0.0, 1.0, 1001)
@@ -269,7 +270,7 @@ class TestHyperSparse:
 
 def _survivors(candidates, t2, params):
     # re-derive the margin rule independently of the implementation
-    t21, _ = split_uniform(t2, 0.5, params.split_seed)
+    t21, _ = split_uniform(t2, params.split_seed)
     preds = [f(t21.x) for f in candidates]
     risks = [float(np.mean((t21.y - p) ** 2)) for p in preds]
     best = int(np.argmin(risks))
@@ -369,7 +370,7 @@ class TestSaTkrr:
         )
         t2, cs = prepare_candidates(target, sources, params, SCHED, CFG)
         assert fits == [11, 12, 12, 12]
-        t1, _ = split_uniform(target, 0.5, params.split_seed)
+        t1, _ = split_uniform(target, params.split_seed)
         expect = fit_krr(t1, schedule_lambda_source(11, SCHED), CFG)
         assert np.array_equal(cs.candidates[0].coefficients, expect.coefficients)
 
@@ -379,7 +380,7 @@ class TestSaTkrr:
         params = AggregationParams(split_seed=8)
         t2, cs = prepare_candidates(target, [], params, SCHED, CFG)
         assert (cs.m, cs.nested_sets, len(cs.candidates)) == (0, ((),), 1)
-        t1, _ = split_uniform(target, 0.5, params.split_seed)
+        t1, _ = split_uniform(target, params.split_seed)
         expect = fit_krr(t1, schedule_lambda_source(11, SCHED), CFG)
         assert np.array_equal(cs.candidates[0].coefficients, expect.coefficients)
         model = sa_tkrr(target, [], params, SCHED, CFG, (t2, cs))

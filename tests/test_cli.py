@@ -221,6 +221,14 @@ class TestFit:
         with pytest.raises(SystemExit, match="unknown method"):
             main(["fit", "--config", str(cfg), "--method", "Oracle"])
 
+    def test_synthetic_sweep_on_csv_studies_rejected(self, tmp_path):
+        cfg = write_real_config(tmp_path, write_csv_studies(tmp_path))
+        doc = json.loads(cfg.read_text())
+        doc["sweep"] = {"name": "s", "values": [0.1]}
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="synthetic"):
+            main(["fit", "--config", str(cfg), "--method", "KRR"])
+
 
 class TestRank:
     def test_prints_one_line_per_source(self, tmp_path, capsys):

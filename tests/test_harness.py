@@ -354,18 +354,17 @@ class TestRealDataSweep:
 
         p = tmp_path / "t.csv"
         p.write_text("u,y\n" + "\n".join(f"0.{i},{i}" for i in range(20)) + "\n")
-        cfg = ExperimentConfig(
-            scenario=(
-                StudyConfig(path=str(p), feature_columns=("u",), response_column="y", role="target"),
-                StudyConfig(path=str(p), feature_columns=("u",), response_column="y"),
-            ),
-            methods=("KRR",),
-            sweep_name="s",
-            sweep_values=(0.1,),
-            replications=1,
-        )
         with pytest.raises(ValueError, match="synthetic"):
-            run_sweep(cfg, threads=1)
+            ExperimentConfig(
+                scenario=(
+                    StudyConfig(path=str(p), feature_columns=("u",), response_column="y", role="target"),
+                    StudyConfig(path=str(p), feature_columns=("u",), response_column="y"),
+                ),
+                methods=("KRR",),
+                sweep_name="s",
+                sweep_values=(0.1,),
+                replications=1,
+            )
 
 
 class TestSummarize:
@@ -459,9 +458,20 @@ class TestConfigPlumbing:
         with pytest.raises(TypeError, match="seed"):
             config_from_json(doc)
 
-    def test_sweep_name_normalization(self):
-        assert tiny_config(sweep_name="|A_h|", sweep_values=(0,)).sweep_name == "a_h"
-        assert tiny_config(sweep_name="n_{A_h}", sweep_values=(5,)).sweep_name == "n_ah"
+    def test_unknown_top_level_key_rejected(self):
+        doc = json.loads((CONFIGS / "fig3.json").read_text())
+        doc["replication"] = 2
+        with pytest.raises(TypeError, match="'replication'"):
+            config_from_json(doc)
+
+    def test_sweep_and_example_names_are_exact(self):
+        for name in ("|A_h|", "N0", "n_{A_h}"):
+            with pytest.raises(ValueError, match="sweep parameter"):
+                tiny_config(sweep_name=name, sweep_values=(5,))
+        with pytest.raises(ValueError, match="sweep parameter"):
+            tiny_config(fixed=(("A_h", 2),))
+        with pytest.raises(ValueError, match="example"):
+            SimSpec("EX1")
 
     def test_validation(self):
         with pytest.raises(ValueError):

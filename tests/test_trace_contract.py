@@ -64,7 +64,8 @@ def test_result_attributes_the_tracer_reads():
     sched, cfg = LambdaSchedule(scale=0.5), KernelConfig(bandwidth=0.5)
     ranked = aggregate.rank_contrasts(target, sources, sched, cfg)
     assert sorted(ranked.ranks.tolist()) == [1, 2]
-    built = aggregate.build_candidates(target, sources, ranked, sched, cfg)
+    f0 = krr.fit_krr(target, krr.schedule_lambda_source(target.n, sched), cfg)
+    built = aggregate.build_candidates(target, sources, ranked, sched, cfg, f0)
     assert len(built.candidates) == 3
     mixed = aggregate.aew_aggregate(built.candidates, target, 1.0)
     assert len(mixed.weights) == 3

@@ -30,7 +30,7 @@ class TestSourceCollection:
         rng = np.random.default_rng(300)
         s = tuple(_dataset(rng, 5, 2) for _ in range(3))
         coll = SourceCollection(sources=s, transferable=(3, 1))
-        assert coll.m == 3
+        assert len(coll.sources) == 3
         assert coll.n_transferable == 10
 
     def test_index_out_of_range(self):
