@@ -55,11 +55,6 @@ def _cmd_simulate(args) -> int:
         _, target, sources, _, _, _ = harness.build_cell(config, 0, 0)
         scenario_to_csv(target, sources, out / "data")
         print(f"wrote scenario CSVs to {out / 'data'}")
-    if harness.threadpool_limits is None:
-        print(
-            "note: threadpoolctl is not installed, so cells run at BLAS's default thread count",
-            file=sys.stderr,
-        )
     rows = harness.run_sweep(config, threads=args.threads)
     results = harness.emit_csv(rows, out / "results.csv")
     summary_rows = harness.summarize(rows)

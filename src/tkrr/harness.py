@@ -7,8 +7,9 @@ hash(base_seed, value_index, replication), generates its data or
 subsamples the loaded studies, fits each method, and scores it on the
 held out test set. Cells are independent, so replications fan out over a
 process pool; rows are sorted afterwards, making output byte-identical
-for any worker count on one host. Each cell asks for one BLAS thread,
-which takes effect only when threadpoolctl can be imported.
+for any worker count on one host. Kernel matrix-vector products,
+factorizations and solves all run in SciPy's OpenBLAS at its default
+thread count; nothing pins it, in the serial path or in pool workers.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    threadpool_limits = None
 
 from .aggregate import (
     AggregationParams,
@@ -196,8 +192,7 @@ def prediction_error(model, x: NDArray, reference: NDArray) -> float:
 
 
 def _limit_blas():
-    if threadpool_limits is not None:
-        return threadpool_limits(limits=1)
+    # The context each cell runs in; it limits no thread count.
     return nullcontext()
 
 
@@ -361,10 +356,13 @@ def _run_cell(config: ExperimentConfig, v_index: int, rep: int, studies=None) ->
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """The worker count: threads if given, else the core count."""
+    """The worker count: threads if given, else the CPUs this process may run on."""
     if threads is not None:
         return max(1, int(threads))
-    return os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - not Linux
+        return os.cpu_count() or 1
 
 
 def run_sweep(config: ExperimentConfig, threads: int | None = None) -> list[ResultRow]:

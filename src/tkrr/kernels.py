@@ -7,7 +7,8 @@ representer-form expansion, and a weighted sum of fitted functions) and the
 RKHS norm of a difference of two expansions. Ridge systems are held in
 LAPACK's rectangular full packed format (Gustavson, Wasniewski, Dongarra and
 Langou 2010): one triangle in n(n+1)/2 entries, factored by a level-3
-Cholesky.
+Cholesky. Kernel matrix-vector products run in SciPy's BLAS too, the
+OpenBLAS that factors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.spatial.distance import cdist
 
 __all__ = [
@@ -137,7 +138,7 @@ class RepresenterFunction:
         object.__setattr__(self, "coefficients", coef)
 
     def __call__(self, x: NDArray) -> NDArray[np.float64]:
-        return gram_matrix(self.kernel, _as_matrix(x), self.anchors) @ self.coefficients
+        return _gemv(gram_matrix(self.kernel, _as_matrix(x), self.anchors), self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -177,6 +178,20 @@ def _kernel_block(cfg: KernelConfig, x, x2, out=None) -> NDArray[np.float64]:
     t = cdist(x, x2, "sqeuclidean")
     np.divide(t, -cfg.bandwidth, out=t)
     return np.exp(t, out=t if out is None else out)
+
+
+def _gemv(k: NDArray, v: NDArray, left: bool = False) -> NDArray[np.float64]:
+    # k @ v, or v @ k if left, for a C-ordered k: bit for bit NumPy's @, but
+    # in SciPy's OpenBLAS, so NumPy's BLAS threads never wake to spin beside
+    # a factorization. SciPy gets k.T, an F-ordered view, so nothing is
+    # copied. As in @, an empty product is zeros and a single output entry
+    # is a dot product.
+    n_out = k.shape[1] if left else k.shape[0]
+    if k.size == 0:
+        return np.zeros(n_out)
+    if n_out == 1:
+        return np.array([blas.ddot(k.ravel(), v)])
+    return blas.dgemv(1.0, k.T, v, trans=0 if left else 1)
 
 
 def gram_matrix(cfg: KernelConfig, x: NDArray, x2: NDArray | None = None) -> NDArray[np.float64]:
@@ -307,7 +322,8 @@ def rkhs_norm_diff(f: RepresenterFunction, g: RepresenterFunction) -> float:
 
     Expands to the Gram quadratic form
     b_f' K_ff b_f - 2 b_f' K_fg b_g + b_g' K_gg b_g, clamped at zero before
-    the square root since roundoff can leave a tiny negative residue.
+    the square root since roundoff can leave a tiny negative residue. Each
+    term is evaluated as (b' K) b.
     """
     if f.kernel != g.kernel:
         raise ValueError(f"kernel configs differ: {f.kernel} vs {g.kernel}")
@@ -317,8 +333,8 @@ def rkhs_norm_diff(f: RepresenterFunction, g: RepresenterFunction) -> float:
         )
     bf, bg = f.coefficients, g.coefficients
     q = (
-        bf @ gram_matrix(f.kernel, f.anchors) @ bf
-        - 2.0 * (bf @ gram_matrix(f.kernel, f.anchors, g.anchors) @ bg)
-        + bg @ gram_matrix(g.kernel, g.anchors) @ bg
+        _gemv(gram_matrix(f.kernel, f.anchors), bf, left=True) @ bf
+        - 2.0 * (_gemv(gram_matrix(f.kernel, f.anchors, g.anchors), bf, left=True) @ bg)
+        + _gemv(gram_matrix(g.kernel, g.anchors), bg, left=True) @ bg
     )
     return float(np.sqrt(max(q, 0.0)))

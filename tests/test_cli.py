@@ -1,6 +1,5 @@
 """End-to-end checks of the tkrr command line in a temp working directory."""
 
-import contextlib
 import csv
 import json
 import math
@@ -56,19 +55,6 @@ class TestSimulate:
         archived = json.loads((out / "config.json").read_text())
         assert archived["sweep"]["values"] == [0.05, 0.3]
         assert "results.csv" in capsys.readouterr().out
-
-    def test_says_when_blas_threads_are_not_pinned(self, tmp_path, capsys, monkeypatch):
-        # Without threadpoolctl, one stderr line says so; results are the same.
-        cfg = write_config(tmp_path)
-        summaries, errs = [], []
-        for limits in (None, lambda limits: contextlib.nullcontext()):
-            monkeypatch.setattr(harness, "threadpool_limits", limits)
-            assert main(["simulate", "--config", str(cfg), "--threads", "1"]) == 0
-            errs.append(capsys.readouterr().err.splitlines())
-            summaries.append((tmp_path / "results" / "summary.csv").read_bytes())
-        assert len(errs[0]) == 1 and "BLAS's default thread count" in errs[0][0]
-        assert errs[1] == []
-        assert summaries[0] == summaries[1]
 
     def test_out_flag_overrides_output_dir(self, tmp_path):
         cfg = write_config(tmp_path)

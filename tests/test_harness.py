@@ -493,3 +493,10 @@ class TestThreads:
         assert resolve_threads(2) == 2
         assert resolve_threads(0) == 1
         assert resolve_threads() >= 1
+
+    def test_default_is_the_cpus_this_process_may_use(self, monkeypatch):
+        # Not the host's CPU count: a process pinned to 3 of 64 CPUs gets 3 workers.
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+        assert resolve_threads() == 3
+        assert resolve_threads(2) == 2

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import lapack
 from scipy.spatial.distance import cdist
 
+from tkrr import kernels
 from tkrr.kernels import (
     Dataset,
     KernelConfig,
@@ -294,6 +295,67 @@ class TestRkhsNormDiff:
         g = RepresenterFunction(np.zeros((1, 1)), np.ones(1), KernelConfig(bandwidth=2.0))
         with pytest.raises(ValueError):
             rkhs_norm_diff(f, g)
+
+
+MATVEC_SIZES = [1, 63, 64, 65, 500, 1700]
+
+
+class TestMatvec:
+    """Kernel products run in SciPy's BLAS, bit for bit what NumPy's @ gives."""
+
+    @pytest.mark.parametrize("rows", MATVEC_SIZES)
+    @pytest.mark.parametrize("anchors", MATVEC_SIZES)
+    def test_evaluation_equals_numpy_matmul_bitwise(self, rows, anchors):
+        rng = np.random.default_rng(rows * 7919 + anchors)
+        cfg = KernelConfig(bandwidth=0.5)
+        f = RepresenterFunction(rng.normal(size=(anchors, 2)), rng.normal(size=anchors), cfg)
+        x = rng.normal(size=(rows, 2))
+        assert np.array_equal(f(x), gram_matrix(cfg, x, f.anchors) @ f.coefficients)
+
+    def test_empty_and_single_inputs(self):
+        cfg = KernelConfig()
+        f = RepresenterFunction(np.array([[0.0], [1.0]]), np.array([2.0, -1.0]), cfg)
+        empty = f(np.zeros((0, 1)))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+        one_row = f([[0.5]])
+        assert one_row.shape == (1,)
+        assert np.array_equal(one_row, gram_matrix(cfg, [[0.5]], f.anchors) @ f.coefficients)
+        g = RepresenterFunction(np.array([[0.0]]), np.array([2.0]), cfg)
+        np.testing.assert_allclose(g([[0.0], [1.0]]), [2.0, 2.0 * np.exp(-1.0)])
+        assert g(np.zeros((0, 1))).shape == (0,)
+
+    @pytest.mark.parametrize("n", MATVEC_SIZES)
+    def test_rkhs_norm_diff_equals_numpy_expression_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        cfg = KernelConfig(bandwidth=0.7)
+        for m in (1, n, 2 * n + 1):
+            f = RepresenterFunction(rng.normal(size=(n, 3)), rng.normal(size=n), cfg)
+            g = RepresenterFunction(rng.normal(size=(m, 3)), rng.normal(size=m), cfg)
+            bf, bg = f.coefficients, g.coefficients
+            q = (
+                bf @ gram_matrix(cfg, f.anchors) @ bf
+                - 2.0 * (bf @ gram_matrix(cfg, f.anchors, g.anchors) @ bg)
+                + bg @ gram_matrix(cfg, g.anchors) @ bg
+            )
+            assert rkhs_norm_diff(f, g) == float(np.sqrt(max(q, 0.0)))
+
+    def test_scipy_gets_an_f_ordered_view(self, monkeypatch):
+        # A C-ordered matrix would be copied on every call (12 MB at n = 1700).
+        seen = []
+        dgemv = kernels.blas.dgemv
+
+        def recording(alpha, a, x, **kw):
+            seen.append(a.flags.f_contiguous)
+            return dgemv(alpha, a, x, **kw)
+
+        monkeypatch.setattr(kernels.blas, "dgemv", recording)
+        rng = np.random.default_rng(7)
+        cfg = KernelConfig()
+        f = RepresenterFunction(rng.normal(size=(40, 2)), rng.normal(size=40), cfg)
+        g = RepresenterFunction(rng.normal(size=(30, 2)), rng.normal(size=30), cfg)
+        f(rng.normal(size=(50, 2)))
+        rkhs_norm_diff(f, g)
+        assert seen == [True] * 4
 
 
 class TestTypes:
