@@ -7,9 +7,11 @@ hash(base_seed, value_index, replication), generates its data or
 subsamples the loaded studies, fits each method, and scores it on the
 held out test set. Cells are independent, so replications fan out over a
 process pool; rows are sorted afterwards, making output byte-identical
-for any worker count on one host. Kernel matrix-vector products,
-factorizations and solves all run in SciPy's OpenBLAS at its default
-thread count; nothing pins it, in the serial path or in pool workers.
+for any worker count on one host. Gram blocks, kernel matrix-vector
+products, factorizations and solves all run in SciPy's OpenBLAS. Each
+Gram product is small enough to stay on the calling thread; the rest run
+at OpenBLAS's default thread count, which nothing pins, in the serial
+path or in pool workers.
 """
 
 from __future__ import annotations
@@ -85,9 +87,11 @@ _BLAS_ENV = (
 class ExperimentConfig:
     """Everything a sweep needs, mirrored one-to-one by the JSON config.
 
-    fixed pins scenario parameters that are not being swept (real-data
-    experiments use it for n0 and n_ah; defaults are half the target for
-    n0 and every source row for n_ah). Methods run in the order given.
+    fixed pins the scenario parameters a cell reads and no sweep sets: a_h
+    on synthetic data (default m), n0 and n_ah on CSV studies (defaults
+    half the target and every source row). Any other fixed key, or one
+    that is also swept, raises, as does an |A_h| outside 0..total sources.
+    Methods run in the order given.
     """
 
     scenario: SimSpec | tuple[StudyConfig, ...]
@@ -118,11 +122,28 @@ class ExperimentConfig:
         for name in (self.sweep_name, *fixed):
             if name not in SWEEPS:
                 raise ValueError(f"unknown sweep parameter {name!r}, want one of {SWEEPS}")
-        if not isinstance(self.scenario, SimSpec) and self.sweep_name not in ("n0", "n_ah"):
+        synthetic = isinstance(self.scenario, SimSpec)
+        if not synthetic and self.sweep_name not in ("n0", "n_ah"):
             raise ValueError(f"sweep {self.sweep_name!r} needs a synthetic scenario")
+        readable = ("a_h",) if synthetic else ("n0", "n_ah")
+        for name in fixed:
+            if name == self.sweep_name or name not in readable:
+                raise ValueError(
+                    f"fixed {name!r} is never read: it is swept, or a "
+                    f"{'synthetic' if synthetic else 'CSV'} cell reads only {readable}"
+                )
         if not self.sweep_values:
             raise ValueError("sweep values must be nonempty")
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
+        if synthetic:
+            spec = self.scenario
+            fewest = spec.total_sources - spec.m + min(
+                self.sweep_values if self.sweep_name == "m" else (spec.m,)
+            )
+            # A synthetic cell's only fixed key is a_h.
+            for n in self.sweep_values if self.sweep_name == "a_h" else fixed.values():
+                if not 0 <= int(n) <= fewest:
+                    raise ValueError(f"|A_h|={int(n)} outside 0..{int(fewest)}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         object.__setattr__(self, "fixed", tuple(fixed.items()))
@@ -209,13 +230,7 @@ def _synthetic_cell(config: ExperimentConfig, value, cell_seed: int):
         spec = dataclasses.replace(spec, **{field: float(value) if name == "s" else int(value)})
     target, sources, true_fn, _ = gen_scenario(spec, seed=cell_seed)
     x_test, reference = gen_test(spec, true_fn, seed=cell_seed)
-
-    if name == "a_h":
-        n_transfer = int(value)
-        if not 0 <= n_transfer <= spec.total_sources:
-            raise ValueError(f"|A_h|={n_transfer} outside 0..{spec.total_sources}")
-    else:
-        n_transfer = int(config.fixed_value("a_h", spec.m))
+    n_transfer = int(value) if name == "a_h" else int(config.fixed_value("a_h", spec.m))
     transferable = tuple(range(1, n_transfer + 1))
     return target, sources, transferable, x_test, reference
 

@@ -7,8 +7,9 @@ representer-form expansion, and a weighted sum of fitted functions) and the
 RKHS norm of a difference of two expansions. Ridge systems are held in
 LAPACK's rectangular full packed format (Gustavson, Wasniewski, Dongarra and
 Langou 2010): one triangle in n(n+1)/2 entries, factored by a level-3
-Cholesky. Kernel matrix-vector products run in SciPy's BLAS too, the
-OpenBLAS that factors.
+Cholesky. Gram blocks and kernel matrix-vector products run in SciPy's BLAS
+too, the OpenBLAS that factors: a block's squared distances are
+||a||^2 + ||b||^2 - 2 a.b over centred rows, the cross term one dgemm.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import blas, lapack
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "KernelConfig",
@@ -34,9 +34,16 @@ __all__ = [
 ]
 
 _JITTER_REL = 1e-10
-# Kernel rows are assembled this many at a time, so each block's distances
-# are divided and exponentiated while they are still in cache.
+# Kernel rows are assembled this many at a time, so each block's exponents
+# are clamped and exponentiated while they are still in cache.
 _BLOCK_ROWS = 64
+# A block's dgemm gets anchor rows in a multiple of _PAD and at most
+# _DOT_COLS features, so OpenBLAS computes every entry in a full tile of its
+# tiled kernel, never an edge tile or its small-matrix kernel (which takes
+# this transpose pair from 32 features): an entry's bits do not depend on
+# the block. OpenBLAS threads a dgemm of over _DGEMM_MACS multiply-adds,
+# which makes products this thin slower, so each call stays under it.
+_PAD, _DOT_COLS, _DGEMM_MACS = 16, 31, 1 << 18
 # _BELOW[:b, :b - 1] marks the strictly lower entries of a b x b block.
 _BELOW = np.tri(_BLOCK_ROWS, _BLOCK_ROWS - 1, -1, dtype=bool)
 
@@ -172,12 +179,31 @@ class WeightedSum:
         return np.zeros(_as_matrix(x).shape[0]) if out is None else out
 
 
-def _kernel_block(cfg: KernelConfig, x, x2, out=None) -> NDArray[np.float64]:
-    # K(x_i, x2_j) for one block of rows. x / (-b) is -(x / b) exactly, so
-    # one division replaces the negation.
-    t = cdist(x, x2, "sqeuclidean")
-    np.divide(t, -cfg.bandwidth, out=t)
-    return np.exp(t, out=t if out is None else out)
+def _scaled_rows(cfg: KernelConfig, x: NDArray, centre: NDArray):
+    # The rows u = (x - centre) / sqrt(bandwidth), padded with _PAD - 1 zero
+    # rows, as C-ordered groups of at most _DOT_COLS columns, and -||u||^2.
+    u = np.zeros((x.shape[0] + _PAD - 1, x.shape[1]))
+    np.divide(x - centre, np.sqrt(cfg.bandwidth), out=u[: x.shape[0]])
+    groups = [np.ascontiguousarray(u[:, k : k + _DOT_COLS]) for k in range(0, u.shape[1], _DOT_COLS)]
+    return groups, -(u * u).sum(axis=1)
+
+
+def _kernel_block(a, rows: slice, b, cols: slice, out=None) -> NDArray[np.float64]:
+    # K for a's rows against b's cols, both _scaled_rows of one centre:
+    # exp(min(0, -||u_i||^2 - ||u_j||^2 + 2 u_i.u_j)). The norms are summed
+    # first, so (i, j) and (j, i) add the same two numbers; dgemm then adds
+    # the cross term in place, in the block's F-ordered transpose.
+    (groups_a, norms_a), (groups_b, norms_b) = a, b
+    j0, n_cols = cols.start, cols.stop - cols.start
+    padded = slice(j0, j0 + -(-n_cols // _PAD) * _PAD)
+    t = np.add.outer(norms_a[rows], norms_b[padded])
+    for ga, gb in zip(groups_a, groups_b):
+        ua, ub = ga[rows], gb[padded].T
+        step = max(1, _DGEMM_MACS // ub.size)
+        for i in range(0, len(t), step):
+            blas.dgemm(2.0, ub, ua[i : i + step].T, beta=1.0, c=t[i : i + step].T, trans_a=1, overwrite_c=1)
+    np.minimum(t, 0.0, out=t)
+    return np.exp(t[:, :n_cols], out=out)
 
 
 def _gemv(k: NDArray, v: NDArray, left: bool = False) -> NDArray[np.float64]:
@@ -197,20 +223,32 @@ def _gemv(k: NDArray, v: NDArray, left: bool = False) -> NDArray[np.float64]:
 def gram_matrix(cfg: KernelConfig, x: NDArray, x2: NDArray | None = None) -> NDArray[np.float64]:
     """Assemble the kernel matrix K[i, j] = K(x_i, x2_j).
 
-    Each entry is exp(-cdist / bandwidth) bit for bit. With x2 omitted (or
-    identical to x) the result is exactly symmetric with an exact unit
-    diagonal: cdist evaluates each squared distance pairwise, so (i, j) and
-    (j, i) run the same float operations.
+    Rows are centred on the mean of x2 (the anchors) and scaled by
+    1/sqrt(bandwidth), and each squared distance is expanded into norms and
+    a dot product; an entry is within 4(d + 2) eps (1 + ||u_i||^2 +
+    ||u_j||^2) of exp(-||x_i - x2_j||^2 / bandwidth) for the scaled rows u.
+    An entry's bits depend only on its two rows and the centre, not on how
+    many rows were asked for. With x2 omitted (or the same array as x) the
+    result is exactly symmetric with an exact unit diagonal.
     """
-    xm = np.ascontiguousarray(_as_matrix(x))
-    x2m = xm if x2 is None else np.ascontiguousarray(_as_matrix(x2))
+    xm = _as_matrix(x)
+    square = x2 is None or x2 is x
+    x2m = xm if square else _as_matrix(x2)
     if xm.shape[1] != x2m.shape[1]:
         raise ValueError(
             f"covariate dimensions differ: {xm.shape[1]} vs {x2m.shape[1]}"
         )
     k = np.empty((xm.shape[0], x2m.shape[0]))
-    for i in range(0, xm.shape[0], _BLOCK_ROWS):
-        _kernel_block(cfg, xm[i : i + _BLOCK_ROWS], x2m, k[i : i + _BLOCK_ROWS])
+    if k.size == 0:
+        return k
+    centre = x2m.mean(axis=0)
+    a = _scaled_rows(cfg, xm, centre)
+    b = a if square else _scaled_rows(cfg, x2m, centre)
+    n, cols = xm.shape[0], slice(0, x2m.shape[0])
+    for i in range(0, n, _BLOCK_ROWS):
+        _kernel_block(a, slice(i, min(i + _BLOCK_ROWS, n)), b, cols, k[i : i + _BLOCK_ROWS])
+    if square:
+        np.fill_diagonal(k, 1.0)
     return k
 
 
@@ -246,25 +284,26 @@ def ridge_system(
     built 64 at a time; each kernel entry is computed once, apart from one
     64 x 64 square per row block.
     """
-    xm = np.ascontiguousarray(_as_matrix(x))
+    xm = _as_matrix(x)
     n = xm.shape[0]
     t, o = (n + 1) // 2, 1 - n % 2
     a = np.empty((n + o, t), order="F") if out is None else out
+    u = _scaled_rows(cfg, xm, xm.mean(axis=0)) if n else None
     # In the C-ordered view, row j holds K(x_j, x_i) at column o + i for
     # i >= j and, before it, the trailing triangle's row t - 1 + o + j:
     # K(x_{t-1+o+j}, x_{t+c}) at column c < o + j.
     rows = a.T
     for j0 in range(0, t, _BLOCK_ROWS):
         j1 = min(j0 + _BLOCK_ROWS, t)
-        _kernel_block(cfg, xm[j0:j1], xm[j0:], rows[j0:j1, o + j0 :])
+        _kernel_block(u, slice(j0, j1), u, slice(j0, n), rows[j0:j1, o + j0 :])
         if o + j1 > 1:
-            tail = _kernel_block(cfg, xm[t - 1 + o + j0 : t - 1 + o + j1], xm[t : t - 1 + o + j1])
+            tail = _kernel_block(u, slice(t - 1 + o + j0, t - 1 + o + j1), u, slice(t, t - 1 + o + j1))
             rows[j0:j1, : o + j0] = tail[:, : o + j0]
             # Below the diagonal of the block's own square, the trailing rows win.
             b = j1 - j0
             np.copyto(rows[j0:j1, o + j0 : o + j1 - 1], tail[:, o + j0 :], where=_BELOW[:b, : b - 1])
     for run in _diagonal(a):
-        run += shift
+        run.fill(1.0 + shift)
     return a
 
 

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -259,3 +262,18 @@ class TestPlot:
         cfg = write_config(tmp_path)
         with pytest.raises(SystemExit, match="run simulate first"):
             main(["plot", "--config", str(cfg)])
+
+
+class TestImport:
+    def test_does_not_load_scipy_spatial(self):
+        # scipy.spatial brings scipy.special and scipy.sparse with it, about
+        # 9 MB resident in every process, pool workers included.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(harness.__file__).parents[1]), env.get("PYTHONPATH")) if p
+        )
+        code = "import sys, tkrr, tkrr.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"

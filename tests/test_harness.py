@@ -487,6 +487,46 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError):
             tiny_config(sweep_name="bandwidth")
 
+    def test_fixed_key_a_synthetic_cell_never_reads_rejected(self):
+        doc = json.loads((CONFIGS / "fig3.json").read_text())
+        doc["fixed"] = {"n0": 500}
+        with pytest.raises(ValueError, match="fixed 'n0' is never read"):
+            config_from_json(doc)
+        for name in ("s", "n_ah", "m"):
+            with pytest.raises(ValueError, match=f"fixed '{name}' is never read"):
+                tiny_config(sweep_name="n0", sweep_values=(20,), fixed=((name, 2),))
+
+    def test_fixed_key_a_csv_cell_never_reads_rejected(self):
+        studies = (
+            StudyConfig(path="t.csv", feature_columns=("a",), response_column="y", role="target"),
+        )
+        for name in ("a_h", "s", "m"):
+            with pytest.raises(ValueError, match=f"fixed '{name}' is never read"):
+                ExperimentConfig(
+                    scenario=studies, methods=("KRR",), sweep_name="n0", sweep_values=(10,),
+                    fixed=((name, 2),),
+                )
+
+    def test_fixed_key_that_is_swept_rejected(self):
+        with pytest.raises(ValueError, match="fixed 'a_h' is never read"):
+            tiny_config(sweep_name="a_h", sweep_values=(1, 2), fixed=(("a_h", 2),))
+        doc = json.loads((CONFIGS / "wine_n100.json").read_text())
+        doc["fixed"]["n_ah"] = 50
+        with pytest.raises(ValueError, match="fixed 'n_ah' is never read"):
+            config_from_json(doc)
+
+    def test_a_h_range_checked_when_fixed_or_swept(self):
+        # tiny_config's ex1 design has m = 3 sources and no negative ones.
+        for fixed in (4, -1):
+            with pytest.raises(ValueError, match=r"\|A_h\|=.* outside 0..3"):
+                tiny_config(fixed=(("a_h", fixed),))
+        with pytest.raises(ValueError, match=r"\|A_h\|=4 outside 0..3"):
+            tiny_config(sweep_name="a_h", sweep_values=(0, 4))
+        with pytest.raises(ValueError, match=r"\|A_h\|=3 outside 0..2"):
+            tiny_config(sweep_name="m", sweep_values=(2, 5), fixed=(("a_h", 3),))
+        tiny_config(fixed=(("a_h", 3),))
+        tiny_config(sweep_name="m", sweep_values=(2, 5), fixed=(("a_h", 2),))
+
 
 class TestThreads:
     def test_argument_when_no_env(self):

@@ -116,22 +116,64 @@ class TestGramMatrix:
         with pytest.raises(ValueError):
             gram_matrix(KernelConfig(), np.zeros((2, 2)), np.zeros((2, 3)))
 
-    @pytest.mark.parametrize("d", [1, 10])
-    def test_equals_exp_of_cdist_bitwise(self, d):
-        rng = np.random.default_rng(104)
-        cfg = KernelConfig(bandwidth=0.7)
-        x, x2 = rng.normal(size=(57, d)), rng.normal(size=(23, d))
-        for other in (None, x2):
-            expect = np.exp(-cdist(x, x if other is None else other, "sqeuclidean") / 0.7)
-            assert np.array_equal(gram_matrix(cfg, x, other), expect)
+    @pytest.mark.parametrize("d", [1, 3, 6, 10])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129])
+    def test_within_stated_bound_of_cdist(self, d, n):
+        # The docstring's bound: |K - exp(-cdist / b)| <= 4 (d + 2) eps
+        # (1 + ||u_i||^2 + ||u_j||^2), u the rows centred on the anchors' mean
+        # and scaled by 1/sqrt(b). Unit-cube data, the same moved by +100
+        # (centring keeps it accurate), and a spread of 100.
+        rng = np.random.default_rng(1000 * d + n)
+        eps = np.finfo(np.float64).eps
+        for shift, spread, bandwidth in ((0.0, 1.0, 0.05), (0.0, 1.0, 6.0), (100.0, 1.0, 0.3), (0.0, 100.0, 1.0)):
+            cfg = KernelConfig(bandwidth=bandwidth)
+            x = shift + spread * rng.uniform(size=(n, d))
+            x2 = shift + spread * rng.uniform(size=(n + 5, d))
+            for a, b in ((x, None), (x, x2), (x2, x)):
+                anchors = a if b is None else b
+                centre = anchors.mean(axis=0)
+                ua = ((a - centre) ** 2).sum(axis=1) / bandwidth
+                ub = ((anchors - centre) ** 2).sum(axis=1) / bandwidth
+                bound = 4 * (d + 2) * eps * (1.0 + ua[:, None] + ub[None, :])
+                expect = np.exp(-cdist(a, anchors, "sqeuclidean") / bandwidth)
+                assert np.all(np.abs(gram_matrix(cfg, a, b) - expect) <= bound)
 
-    @pytest.mark.parametrize("n", BLOCK_SIZES)
-    def test_cross_gram_bitwise_around_block_size(self, n):
-        rng = np.random.default_rng(106)
-        cfg = KernelConfig(bandwidth=0.3)
-        x, x2 = rng.normal(size=(n, 3)), rng.normal(size=(n + 5, 3))
-        for a, b in ((x, x2), (x2, x), (x, x)):
-            assert np.array_equal(gram_matrix(cfg, a, b), np.exp(-cdist(a, b, "sqeuclidean") / 0.3))
+    @pytest.mark.parametrize("d", [1, 3, 10, 40])
+    @pytest.mark.parametrize("n", [2, 65, 129, 701])
+    def test_entry_bits_do_not_depend_on_the_block(self, d, n):
+        # Any subset of rows, against the same anchors, gives the same bits
+        # as the whole Gram; 40 features take two products per block.
+        rng = np.random.default_rng(d * 7919 + n)
+        cfg = KernelConfig(bandwidth=0.3 * d)
+        x = rng.normal(size=(n, d))
+        k = gram_matrix(cfg, x)
+        assert np.array_equal(k, k.T)
+        assert np.all(np.diag(k) == 1.0)
+        off = ~np.eye(n, dtype=bool)
+        for rows in (slice(0, 1), slice(n // 2, n // 2 + 1), slice(n - 1, n), slice(n // 3, n // 3 + 70)):
+            part = gram_matrix(cfg, x[rows], x)
+            assert np.array_equal(part[off[rows]], k[rows][off[rows]])
+
+    def test_empty_rows_or_anchors(self):
+        cfg = KernelConfig()
+        x = np.ones((5, 3))
+        for a, b, shape in ((np.zeros((0, 3)), None, (0, 0)), (x, np.zeros((0, 3)), (5, 0)), (np.zeros((0, 3)), x, (0, 5))):
+            k = gram_matrix(cfg, a, b)
+            assert k.shape == shape and k.dtype == np.float64
+        assert ridge_system(cfg, np.zeros((0, 3)), 1.0).shape == (1, 0)
+
+    def test_x2_the_same_array_is_the_square_gram(self):
+        # Passing x twice keeps the exact symmetry and unit diagonal; an
+        # equal copy gives the same off-diagonal bits.
+        rng = np.random.default_rng(105)
+        cfg = KernelConfig(bandwidth=0.4)
+        x = rng.normal(size=(130, 4))
+        k = gram_matrix(cfg, x)
+        assert np.array_equal(gram_matrix(cfg, x, x), k)
+        copy = gram_matrix(cfg, x, x.copy())
+        off = ~np.eye(130, dtype=bool)
+        assert np.array_equal(copy[off], k[off])
+        np.testing.assert_allclose(np.diag(copy), 1.0, rtol=0, atol=1e-14)
 
 
 class TestRidgeSystem:
@@ -141,7 +183,7 @@ class TestRidgeSystem:
         # the explicit gram_matrix + shift * I, entry for entry.
         rng = np.random.default_rng(107)
         cfg = KernelConfig(bandwidth=0.3)
-        for d in (1, 10):
+        for d in (1, 10, 40):
             x = rng.normal(size=(n, d))
             a = ridge_system(cfg, x, 0.25)
             assert a.shape == (n + 1 - n % 2, (n + 1) // 2)
