@@ -30,6 +30,19 @@ def kernel_eval(cfg, a, b):
     return float(np.exp(-float(np.sum((av - bv) ** 2)) / cfg.bandwidth))
 
 
+def within_stated_bound(k, a, anchors, bandwidth):
+    """The gram_matrix docstring's bound against exp(-cdist / b):
+    |K - exp(-cdist / b)| <= 4 (d + 2) eps (1 + ||u_i||^2 + ||u_j||^2), u the
+    rows centred on the anchors' mean and scaled by 1/sqrt(b)."""
+    eps = np.finfo(np.float64).eps
+    centre = anchors.mean(axis=0)
+    ua = ((a - centre) ** 2).sum(axis=1) / bandwidth
+    ub = ((anchors - centre) ** 2).sum(axis=1) / bandwidth
+    bound = 4 * (a.shape[1] + 2) * eps * (1.0 + ua[:, None] + ub[None, :])
+    expect = np.exp(-cdist(a, anchors, "sqeuclidean") / bandwidth)
+    return bool(np.all(np.abs(k - expect) <= bound))
+
+
 def packed(mat):
     """Oracle: LAPACK's own packing of an explicit symmetric matrix, in its Fortran shape."""
     n = mat.shape[0]
@@ -119,24 +132,32 @@ class TestGramMatrix:
     @pytest.mark.parametrize("d", [1, 3, 6, 10])
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129])
     def test_within_stated_bound_of_cdist(self, d, n):
-        # The docstring's bound: |K - exp(-cdist / b)| <= 4 (d + 2) eps
-        # (1 + ||u_i||^2 + ||u_j||^2), u the rows centred on the anchors' mean
-        # and scaled by 1/sqrt(b). Unit-cube data, the same moved by +100
-        # (centring keeps it accurate), and a spread of 100.
+        # Unit-cube data, the same moved by +100 (centring keeps it
+        # accurate), and a spread of 100.
         rng = np.random.default_rng(1000 * d + n)
-        eps = np.finfo(np.float64).eps
         for shift, spread, bandwidth in ((0.0, 1.0, 0.05), (0.0, 1.0, 6.0), (100.0, 1.0, 0.3), (0.0, 100.0, 1.0)):
             cfg = KernelConfig(bandwidth=bandwidth)
             x = shift + spread * rng.uniform(size=(n, d))
             x2 = shift + spread * rng.uniform(size=(n + 5, d))
             for a, b in ((x, None), (x, x2), (x2, x)):
                 anchors = a if b is None else b
-                centre = anchors.mean(axis=0)
-                ua = ((a - centre) ** 2).sum(axis=1) / bandwidth
-                ub = ((anchors - centre) ** 2).sum(axis=1) / bandwidth
-                bound = 4 * (d + 2) * eps * (1.0 + ua[:, None] + ub[None, :])
-                expect = np.exp(-cdist(a, anchors, "sqeuclidean") / bandwidth)
-                assert np.all(np.abs(gram_matrix(cfg, a, b) - expect) <= bound)
+                assert within_stated_bound(gram_matrix(cfg, a, b), a, anchors, bandwidth)
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_cross_gram_bitwise_around_block_size(self, n):
+        # At the row-block edges, every row of a cross Gram has the bits it
+        # has when computed alone (off the diagonal when x is passed twice),
+        # and the whole Gram is within the stated bound of exp(-cdist / b).
+        rng = np.random.default_rng(106)
+        cfg = KernelConfig(bandwidth=0.3)
+        x, x2 = rng.normal(size=(n, 3)), rng.normal(size=(n + 5, 3))
+        for a, b in ((x, x2), (x2, x), (x, x)):
+            k = gram_matrix(cfg, a, b)
+            off = ~np.eye(*k.shape, dtype=bool) if b is a else np.ones(k.shape, dtype=bool)
+            for i in range(a.shape[0]):
+                row = gram_matrix(cfg, a[i : i + 1], b)[0]
+                assert np.array_equal(row[off[i]], k[i][off[i]])
+            assert within_stated_bound(k, a, b, 0.3)
 
     @pytest.mark.parametrize("d", [1, 3, 10, 40])
     @pytest.mark.parametrize("n", [2, 65, 129, 701])
