@@ -10,15 +10,25 @@ Langou 2010): one triangle in n(n+1)/2 entries, factored by a level-3
 Cholesky. Gram blocks and kernel matrix-vector products run in SciPy's BLAS
 too, the OpenBLAS that factors: a block's squared distances are
 ||a||^2 + ||b||^2 - 2 a.b over centred rows, the cross term one dgemm.
+
+The five routines called here (dgemm, dgemv, ddot, dpftrf, dpftrs) are
+SciPy's f2py wrappers, the very objects scipy.linalg.blas and
+scipy.linalg.lapack re-export, loaded straight from the extension modules
+scipy.linalg._fblas and scipy.linalg._flapack. Importing the scipy.linalg
+package instead would run its __init__, whose array-API layer loads
+numpy.f2py, numpy.testing and numpy.ma: about 0.3 s and 16 MB in every
+process, pool workers included.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import blas, lapack
 
 __all__ = [
     "KernelConfig",
@@ -46,6 +56,31 @@ _BLOCK_ROWS = 64
 _PAD, _DOT_COLS, _DGEMM_MACS = 16, 31, 1 << 18
 # _BELOW[:b, :b - 1] marks the strictly lower entries of a b x b block.
 _BELOW = np.tri(_BLOCK_ROWS, _BLOCK_ROWS - 1, -1, dtype=bool)
+
+
+def _load_scipy_linalg_extension(name: str):
+    """Import the extension module scipy.linalg.<name> without running
+    scipy.linalg's __init__; raise ImportError if SciPy has no such module.
+
+    The module goes into sys.modules under its full name, so a later
+    `import scipy.linalg` reuses it rather than loading it a second time.
+    """
+    fullname = f"scipy.linalg.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    (package_dir,) = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(package_dir, loader).find_spec(fullname)
+    if spec is None:
+        raise ImportError(f"no extension module {fullname} in {package_dir}", name=fullname)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+blas = _load_scipy_linalg_extension("_fblas")
+lapack = _load_scipy_linalg_extension("_flapack")
 
 
 class SpdSolveError(np.linalg.LinAlgError):

@@ -12,6 +12,9 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+# NumPy loads numpy.random on first use. Every sweep draws from it, so it
+# loads with tkrr, not inside a process's first cell.
+from numpy.random import Generator, Philox
 
 __all__ = ["derive_seed", "philox_stream", "TARGET_STREAM", "TEST_STREAM"]
 
@@ -30,7 +33,7 @@ def derive_seed(*parts: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def philox_stream(seed: int, stream: int) -> np.random.Generator:
+def philox_stream(seed: int, stream: int) -> Generator:
     """Generator on the Philox stream keyed by (seed, stream)."""
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))

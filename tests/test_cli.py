@@ -264,16 +264,63 @@ class TestPlot:
             main(["plot", "--config", str(cfg)])
 
 
+def run_python(code):
+    """Run code in a fresh interpreter that imports tkrr from this tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(harness.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout.strip()
+
+
 class TestImport:
     def test_does_not_load_scipy_spatial(self):
         # scipy.spatial brings scipy.special and scipy.sparse with it, about
         # 9 MB resident in every process, pool workers included.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(Path(harness.__file__).parents[1]), env.get("PYTHONPATH")) if p
-        )
         code = "import sys, tkrr, tkrr.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert proc.stdout.strip() == "[]"
+        assert run_python(code) == "[]"
+
+    def test_loads_only_scipy_linalg_wrapper_modules(self):
+        # scipy.linalg's __init__ brings numpy.f2py, numpy.testing and
+        # numpy.ma through its array-API layer: about 0.3 s and 16 MB.
+        # numpy.random, which it also brought and every cell draws from,
+        # still loads at import, not in the first cell.
+        code = "import sys, json, tkrr, tkrr.cli; print(json.dumps(sorted(sys.modules)))"
+        loaded = json.loads(run_python(code))
+        assert "scipy.linalg._fblas" in loaded and "scipy.linalg._flapack" in loaded
+        assert "numpy.random" in loaded
+        assert "scipy.linalg" not in loaded
+        unwanted = ("scipy._lib.array_api_compat", "numpy.f2py", "numpy.testing", "numpy.ma")
+        assert [m for m in loaded if m in unwanted or m.startswith(tuple(u + "." for u in unwanted))] == []
+
+    @pytest.mark.parametrize("tkrr_first", [True, False])
+    def test_scipy_linalg_shares_the_wrappers(self, tkrr_first):
+        # Whichever is imported first, scipy.linalg and tkrr hold the same
+        # f2py routines, never a second copy of the extension modules.
+        first, second = ("tkrr.kernels", "scipy.linalg")[:: 1 if tkrr_first else -1]
+        code = f"""
+import {first}, {second}
+import numpy as np
+from tkrr import kernels
+chol = scipy.linalg.cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]), lower=True)
+print(scipy.linalg.blas.dgemm is kernels.blas.dgemm,
+      scipy.linalg.lapack.dpftrf is kernels.lapack.dpftrf,
+      np.allclose(chol, [[2.0, 0.0], [1.0, np.sqrt(2.0)]]))
+"""
+        assert run_python(code) == "True True True"
+
+    def test_missing_wrapper_raises_naming_it(self):
+        # No fallback: a failed load names the module and imports no
+        # scipy.linalg package in its place.
+        code = """
+import sys
+from tkrr import kernels
+try:
+    kernels._load_scipy_linalg_extension("_fnosuch")
+except ImportError as err:
+    print(err.name, "scipy.linalg._fnosuch" in str(err), sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
+"""
+        assert run_python(code) == "scipy.linalg._fnosuch True ['scipy.linalg._fblas', 'scipy.linalg._flapack']"
