@@ -10,7 +10,6 @@ into benchmark tables.
 
 from .aggregate import (
     AggregateModel,
-    AggregationParams,
     CandidateSet,
     aew_aggregate,
     build_candidates,

@@ -8,6 +8,8 @@ so SA and exponential weighting can share them). On the second half a
 hyper-sparse aggregation picks a convex pair of candidates: an
 empirical-risk winner on one sub-half, a margin rule that keeps
 near-winners, and a closed-form mixing weight fitted on the other sub-half.
+SA then refits the chosen pair on the whole target. The rule has no
+settings: the margin is that of Gaiffas & Lecue 2011 with constant 1.
 Exponential weighting over the same candidates is provided as a softer
 alternative.
 
@@ -43,7 +45,6 @@ from .krr import (
 from .transfer import SourceCollection, fit_ah_tkrr
 
 __all__ = [
-    "AggregationParams",
     "CandidateSet",
     "AggregateModel",
     "split_uniform",
@@ -55,31 +56,6 @@ __all__ = [
     "sa_tkrr",
     "aew_aggregate",
 ]
-
-
-@dataclass(frozen=True)
-class AggregationParams:
-    """Knobs for the hyper-sparse aggregation step.
-
-    phi is the margin rate; "auto" resolves to sqrt(log(m + 2) / n) with m
-    the number of sources and n the size of the risk-comparison sub-half.
-    retrain controls whether the two chosen candidates are refit on the
-    full target sample (keeping the mixing weight) before prediction.
-    """
-
-    c: float = 1.0
-    phi: float | str = "auto"
-    split_seed: int = 0
-    retrain: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.c > 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-        if isinstance(self.phi, str):
-            if self.phi != "auto":
-                raise ValueError(f"phi must be positive or 'auto', got {self.phi!r}")
-        elif not self.phi > 0:
-            raise ValueError(f"phi must be positive or 'auto', got {self.phi}")
 
 
 @dataclass(frozen=True)
@@ -235,7 +211,7 @@ def build_candidates(
 def prepare_candidates(
     target: Dataset,
     sources: Sequence[Dataset],
-    params: AggregationParams,
+    split_seed: int,
     schedules: LambdaSchedule,
     cfg: KernelConfig,
 ) -> tuple[Dataset, CandidateSet]:
@@ -245,7 +221,7 @@ def prepare_candidates(
     candidate set. The target-only fit on T1 serves the ranking and is
     candidate 0; with no sources it is the only candidate.
     """
-    t1, t2 = split_uniform(target, params.split_seed)
+    t1, t2 = split_uniform(target, split_seed)
     f0 = fit_krr(t1, schedule_lambda_source(t1.n, schedules), cfg)
     ranked = rank_contrasts(t1, sources, schedules, cfg, f0)
     return t2, build_candidates(t1, sources, ranked, schedules, cfg, f0)
@@ -258,33 +234,31 @@ def empirical_risk(model, data: Dataset) -> float:
 
 
 def hyper_sparse_aggregate(
-    candidates: Sequence, t2: Dataset, params: AggregationParams
+    candidates: Sequence, t2: Dataset, split_seed: int
 ) -> AggregateModel:
     """Pick a convex pair of candidates on held-out data.
 
-    t2 is split in half. On the first sub-half the empirical-risk winner is
-    found and candidates within c * max(phi * dist, phi^2) of its risk
-    survive, dist being the root mean squared gap to the winner on that
-    sub-half. On the second sub-half every survivor pair gets the
-    closed-form least squares mixing weight clamped to [0, 1] (weight 1
-    when the pair's predictions coincide), and the pair with the smallest
-    risk wins; earlier pairs win ties. A singleton survivor set returns the
-    winner with weight 1.
+    t2 is split in half with split_seed. On the first sub-half, of n rows,
+    the empirical-risk winner is found and candidates within
+    max(phi * dist, phi^2) of its risk survive, phi being
+    sqrt(log(M + 1) / n) for M candidates and dist the root mean squared
+    gap to the winner on that sub-half. On the second sub-half every
+    survivor pair gets the closed-form least squares mixing weight clamped
+    to [0, 1] (weight 1 when the pair's predictions coincide), and the pair
+    with the smallest risk wins; earlier pairs win ties. A singleton
+    survivor set returns the winner with weight 1.
     """
     if not candidates:
         raise ValueError("need at least one candidate")
-    t21, t22 = split_uniform(t2, params.split_seed)
+    t21, t22 = split_uniform(t2, split_seed)
     preds21 = [f(t21.x) for f in candidates]
     risks21 = np.array([float(np.mean((t21.y - p) ** 2)) for p in preds21])
     best = int(np.argmin(risks21))
-    if params.phi == "auto":
-        phi = math.sqrt(math.log(len(candidates) + 1) / t21.n)
-    else:
-        phi = float(params.phi)
+    phi = math.sqrt(math.log(len(candidates) + 1) / t21.n)
     survivors = []
     for l, p in enumerate(preds21):
         dist = math.sqrt(float(np.mean((preds21[best] - p) ** 2)))
-        if risks21[l] <= risks21[best] + params.c * max(phi * dist, phi * phi):
+        if risks21[l] <= risks21[best] + max(phi * dist, phi * phi):
             survivors.append(l)
     if len(survivors) == 1:
         only = survivors[0]
@@ -316,32 +290,30 @@ def hyper_sparse_aggregate(
 def sa_tkrr(
     target: Dataset,
     sources: Sequence[Dataset],
-    params: AggregationParams,
+    split_seed: int,
     schedules: LambdaSchedule,
     cfg: KernelConfig,
     prepared: tuple[Dataset, CandidateSet] | None = None,
     pool=None,
 ) -> AggregateModel:
-    """Full pipeline: split, rank, build candidates, aggregate.
+    """Full pipeline: split, rank, build candidates, aggregate, refit.
 
     The target is split in half with split_seed; ranking and candidate
     fitting run on the first half, aggregation on the second (whose own
     sub-split reuses split_seed on different rows). `prepared` passes in
     prepare_candidates' result for these same arguments when it has already
-    been computed. With retrain on, the chosen candidates with nonzero
-    weight are refit on the full target sample at schedules recomputed for
-    the full size, keeping the T1 contrast estimates for the plug-in offset
-    and the mixing weight unchanged. `pool`, if given, makes a refit's pooled
+    been computed. The chosen candidates with nonzero weight are then refit
+    on the full target sample at schedules recomputed for the full size,
+    keeping the T1 contrast estimates for the plug-in offset and the mixing
+    weight unchanged. `pool`, if given, makes a refit's pooled
     step, called as transfer.fit_pooled is (on the whole target); the sweep
     passes its per-cell store, so a refit reuses a pooled fit of the same
     source set that another method of the cell has made.
     """
     if target.n < 4:
         raise TooFewRowsError(f"need at least 4 target rows, got {target.n}")
-    t2, cs = prepared or prepare_candidates(target, sources, params, schedules, cfg)
-    agg = hyper_sparse_aggregate(cs.candidates, t2, params)
-    if not params.retrain:
-        return agg
+    t2, cs = prepared or prepare_candidates(target, sources, split_seed, schedules, cfg)
+    agg = hyper_sparse_aggregate(cs.candidates, t2, split_seed)
     refit = list(agg.candidates)
     for idx, w in ((agg.idx_a, agg.weight), (agg.idx_b, 1.0 - agg.weight)):
         if w != 0.0:

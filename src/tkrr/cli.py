@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a sweep and write result CSVs")
     common(p)
-    p.add_argument("--threads", type=int, default=None, help="worker processes")
+    p.add_argument("--threads", type=int, default=None, help="worker processes (default 1)")
     p.add_argument(
         "--dump-data", action="store_true", help="also dump first-cell scenario CSVs"
     )

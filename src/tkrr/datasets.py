@@ -3,10 +3,10 @@
 Studies arrive as one CSV per study. Numeric feature columns are used as
 is; a "categorical:" prefix requests one-hot encoding, with the category
 universe scanned across all studies of an experiment so every study gets
-the same design matrix layout. Rows with unparseable or missing values are
-dropped and the count logged. Standardization is deliberately separate
-from loading: statistics come from a study's training rows only, so it
-runs after train/test splitting.
+the same design matrix layout. Rows with unparseable, non-finite or
+missing values are dropped and the count logged. Standardization is
+deliberately separate from loading: statistics come from a study's
+training rows only, so it runs after train/test splitting.
 """
 
 from __future__ import annotations
@@ -42,12 +42,11 @@ _SD_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Where one study lives and how to read it."""
+    """Where one study lives and how to read it; a sweep cell standardizes every study."""
 
     path: str
     feature_columns: tuple[str, ...]
     response_column: str
-    standardize: bool = True
     role: str = "source"
     label: str = ""
 
@@ -122,9 +121,10 @@ def load_csv(
     parse with float(); categorical columns expand to one indicator per
     level in sorted order (pass a shared categories map so several studies
     agree on layout; a level outside the map encodes as all zeros; without
-    one, the study's own levels are used). Rows that fail to parse are
-    dropped and the count logged. text is the contents of cfg.path if it
-    has been read already, so the file is not opened again.
+    one, the study's own levels are used). Rows that fail to parse, or hold
+    a non-finite number (nan, inf, 1e999), are dropped and the count
+    logged. text is the contents of cfg.path if it has been read already,
+    so the file is not opened again.
     """
     header, raw = _read_table(cfg.path, text)
     categories = categories or _levels([(cfg, header, raw)])
@@ -158,11 +158,17 @@ def load_csv(
             continue
         xs.append(feats)
         ys.append(y)
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    # float() also parses nan, inf and overflowing literals such as 1e999.
+    keep = np.isfinite(y) & np.isfinite(x).all(axis=-1)
+    kept = int(np.count_nonzero(keep))
+    dropped += len(ys) - kept
     if dropped:
-        log.info("%s: dropped %d unparseable rows (%d kept)", cfg.path, dropped, len(xs))
-    if not xs:
+        log.info("%s: dropped %d unparseable rows (%d kept)", cfg.path, dropped, kept)
+    if not kept:
         raise ValueError(f"{cfg.path}: no usable rows")
-    return Dataset(x=np.asarray(xs, dtype=np.float64), y=np.asarray(ys, dtype=np.float64))
+    return Dataset(x=x[keep], y=y[keep])
 
 
 def load_studies(

@@ -5,13 +5,13 @@ of methods, and one swept parameter. CSV studies load once per sweep.
 Every (sweep value, replication) cell derives its own seed as
 hash(base_seed, value_index, replication), generates its data or
 subsamples the loaded studies, fits each method, and scores it on the
-held out test set. Cells are independent, so replications fan out over a
-process pool; rows are sorted afterwards, making output byte-identical
-for any worker count on one host. Gram blocks, kernel matrix-vector
-products, factorizations and solves all run in SciPy's OpenBLAS. Each
-Gram product is small enough to stay on the calling thread; the rest run
-at OpenBLAS's default thread count, which nothing pins, in the serial
-path or in pool workers.
+held out test set. Cells are independent, so with --threads N they fan out
+over a process pool (the default is one process); rows are sorted
+afterwards, making output byte-identical for any worker count on one
+host. Gram blocks, kernel matrix-vector products, factorizations and
+solves all run in SciPy's OpenBLAS. Each Gram product is small enough to
+stay on the calling thread; the rest run at OpenBLAS's default thread
+count, which nothing pins, in the serial path or in pool workers.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .aggregate import (
-    AggregationParams,
     aew_aggregate,
     prepare_candidates,
     sa_tkrr,
@@ -91,7 +90,8 @@ class ExperimentConfig:
     on synthetic data (default m), n0 and n_ah on CSV studies (defaults
     half the target and every source row). Any other fixed key, or one
     that is also swept, raises, as does an |A_h| outside 0..total sources.
-    Methods run in the order given.
+    Methods run in the order given. SA's aggregation rule (see aggregate)
+    has no settings; its split seed derives from the cell seed.
     """
 
     scenario: SimSpec | tuple[StudyConfig, ...]
@@ -101,7 +101,6 @@ class ExperimentConfig:
     replications: int = 100
     seed: int = 0
     schedules: LambdaSchedule = LambdaSchedule()
-    aggregation: AggregationParams = AggregationParams()
     kernel: KernelConfig = KernelConfig()
     fixed: tuple[tuple[str, float], ...] = ()
     output_dir: str = "results"
@@ -172,7 +171,7 @@ class SummaryRow:
     n_failed: int
 
 
-_SECTIONS = {"schedules": LambdaSchedule, "aggregation": AggregationParams, "kernel": KernelConfig}
+_SECTIONS = {"schedules": LambdaSchedule, "kernel": KernelConfig}
 
 
 def config_from_json(source: str | Path | dict) -> ExperimentConfig:
@@ -241,20 +240,16 @@ def _real_cell(config: ExperimentConfig, value, cell_seed: int, studies):
     n0 = int(value) if name == "n0" else int(config.fixed_value("n0", target_full.n // 2))
     n_ah = int(value) if name == "n_ah" else config.fixed_value("n_ah")
     train, test = subsample_split(target_full, n0, derive_seed(cell_seed, 0))
-    if next(c for c in config.scenario if c.role == "target").standardize:
-        std = fit_standardizer(train)
-        train, test = apply_standardizer(std, train), apply_standardizer(std, test)
+    std = fit_standardizer(train)
+    train, test = apply_standardizer(std, train), apply_standardizer(std, test)
 
-    src_cfgs = [c for c in config.scenario if c.role == "source"]
     sources = []
-    for k, (src, cfg) in enumerate(zip(sources_full, src_cfgs), start=1):
+    for k, src in enumerate(sources_full, start=1):
         take = src.n if n_ah is None else min(int(n_ah), src.n)
         used = subsample_split(src, take, derive_seed(cell_seed, k))[0]
         # A source with no rows adds nothing to any fit, so the cell drops it.
         if used.n > 0:
-            if cfg.standardize:
-                used = apply_standardizer(fit_standardizer(used), used)
-            sources.append(used)
+            sources.append(apply_standardizer(fit_standardizer(used), used))
     return train, tuple(sources), tuple(range(1, len(sources) + 1)), test.x, test.y
 
 
@@ -324,15 +319,12 @@ def _fit_method(
 
     if method not in ("SA_TKRR", "AEW_TKRR"):
         raise ValueError(f"unknown method {method!r}")
-    params = dataclasses.replace(
-        config.aggregation,
-        split_seed=derive_seed(config.aggregation.split_seed, cell_seed),
-    )
+    split_seed = derive_seed(0, cell_seed)
     prepared = _once(
-        shared, "candidates", lambda: prepare_candidates(target, sources, params, sched, cfg)
+        shared, "candidates", lambda: prepare_candidates(target, sources, split_seed, sched, cfg)
     )
     if method == "SA_TKRR":
-        return sa_tkrr(target, sources, params, sched, cfg, prepared, partial(_pooled, shared))
+        return sa_tkrr(target, sources, split_seed, sched, cfg, prepared, partial(_pooled, shared))
     t2, cs = prepared
     temperature = max(2.0 * float(np.var(t2.y)), 1e-12)
     return aew_aggregate(cs.candidates, t2, temperature)
@@ -371,13 +363,12 @@ def _run_cell(config: ExperimentConfig, v_index: int, rep: int, studies=None) ->
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """The worker count: threads if given, else the CPUs this process may run on."""
-    if threads is not None:
-        return max(1, int(threads))
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - not Linux
-        return os.cpu_count() or 1
+    """The worker count: threads if given (at least 1), else 1.
+
+    Pool workers leave BLAS at its default thread count, so on a small host
+    they fight over cores and a pooled sweep runs slower than a serial one.
+    """
+    return 1 if threads is None else max(1, int(threads))
 
 
 def run_sweep(config: ExperimentConfig, threads: int | None = None) -> list[ResultRow]:

@@ -101,19 +101,16 @@ class TooFewRowsError(ValueError):
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Gaussian kernel family with a squared-distance bandwidth.
+    """The Gaussian kernel, the only one tkrr fits, and its bandwidth.
 
     K(a, b) = exp(-||a - b||^2 / bandwidth). Bandwidth 1 is the classical
     unit-width Gaussian kernel; real-data configs shrink or grow it to match
     covariate scales.
     """
 
-    family: str = "gaussian"
     bandwidth: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.family != "gaussian":
-            raise ValueError(f"unsupported kernel family: {self.family!r}")
         if not self.bandwidth > 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
 

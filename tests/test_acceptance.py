@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from tkrr.aggregate import (
-    AggregationParams,
     hyper_sparse_aggregate,
     rank_contrasts,
     split_uniform,
@@ -120,9 +119,8 @@ class TestCriterion1:
                 funcs.append(lambda x, a=a, b=b, w=w: a * np.sin(w * np.asarray(x)[:, 0]) + b)
             y = funcs[0](x) + rng.normal(0, 0.5, n)
             t2 = Dataset(x=x, y=y)
-            params = AggregationParams(split_seed=case)
-            agg = hyper_sparse_aggregate(funcs, t2, params)
-            _, t22 = split_uniform(t2, params.split_seed)
+            agg = hyper_sparse_aggregate(funcs, t2, case)
+            _, t22 = split_uniform(t2, case)
             fa = agg.candidates[agg.idx_a](t22.x)
             fb = agg.candidates[agg.idx_b](t22.x)
             u, v = fa - fb, fb - t22.y

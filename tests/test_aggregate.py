@@ -6,7 +6,6 @@ import pytest
 from tkrr import aggregate
 from tkrr.aggregate import (
     AggregateModel,
-    AggregationParams,
     CandidateSet,
     aew_aggregate,
     build_candidates,
@@ -196,18 +195,17 @@ def _aggregate_case(rng, n_candidates=None, n2=None):
     k = n_candidates or int(rng.integers(1, 7))
     candidates = [_function(rng) for _ in range(k)]
     t2 = _dataset(rng, n2 or int(rng.integers(8, 40)))
-    params = AggregationParams(split_seed=int(rng.integers(0, 2**31)))
-    return candidates, t2, params
+    return candidates, t2, int(rng.integers(0, 2**31))
 
 
 class TestHyperSparse:
     def test_winner_survives_and_pair_is_from_survivors(self):
         rng = np.random.default_rng(409)
         for _ in range(N_CASES):
-            candidates, t2, params = _aggregate_case(rng)
-            agg = hyper_sparse_aggregate(candidates, t2, params)
+            candidates, t2, seed = _aggregate_case(rng)
+            agg = hyper_sparse_aggregate(candidates, t2, seed)
             assert 0.0 <= agg.weight <= 1.0
-            best, survivors = _survivors(candidates, t2, params)
+            best, survivors = _survivors(candidates, t2, seed)
             assert best in survivors
             assert agg.idx_a in survivors and agg.idx_b in survivors
 
@@ -215,9 +213,9 @@ class TestHyperSparse:
         # mixed pair does at least as well on T22 as any single survivor
         rng = np.random.default_rng(410)
         for _ in range(N_CASES):
-            candidates, t2, params = _aggregate_case(rng)
-            agg = hyper_sparse_aggregate(candidates, t2, params)
-            _, t22 = split_uniform(t2, params.split_seed)
+            candidates, t2, seed = _aggregate_case(rng)
+            agg = hyper_sparse_aggregate(candidates, t2, seed)
+            _, t22 = split_uniform(t2, seed)
             mix_risk = empirical_risk(agg, t22)
             for idx in (agg.idx_a, agg.idx_b):
                 assert mix_risk <= empirical_risk(candidates[idx], t22) + 1e-10
@@ -225,9 +223,9 @@ class TestHyperSparse:
     def test_weight_matches_grid_search(self):
         rng = np.random.default_rng(411)
         for _ in range(50):
-            candidates, t2, params = _aggregate_case(rng, n_candidates=4)
-            agg = hyper_sparse_aggregate(candidates, t2, params)
-            _, t22 = split_uniform(t2, params.split_seed)
+            candidates, t2, seed = _aggregate_case(rng, n_candidates=4)
+            agg = hyper_sparse_aggregate(candidates, t2, seed)
+            _, t22 = split_uniform(t2, seed)
             fa = candidates[agg.idx_a](t22.x)
             fb = candidates[agg.idx_b](t22.x)
             grid = np.linspace(0.0, 1.0, 1001)
@@ -242,35 +240,27 @@ class TestHyperSparse:
         rng = np.random.default_rng(412)
         f = _function(rng)
         t2 = _dataset(rng, 12)
-        agg = hyper_sparse_aggregate([f, f], t2, AggregationParams(split_seed=5))
+        agg = hyper_sparse_aggregate([f, f], t2, 5)
         assert agg.weight == 1.0
 
     def test_singleton_candidate(self):
         rng = np.random.default_rng(413)
         f = _function(rng)
-        agg = hyper_sparse_aggregate([f], _dataset(rng, 10), AggregationParams())
+        agg = hyper_sparse_aggregate([f], _dataset(rng, 10), 0)
         assert agg.idx_a == agg.idx_b == 0
         assert agg.weight == 1.0
 
     def test_deterministic(self):
         rng = np.random.default_rng(414)
-        candidates, t2, params = _aggregate_case(rng, n_candidates=5)
-        a = hyper_sparse_aggregate(candidates, t2, params)
-        b = hyper_sparse_aggregate(candidates, t2, params)
+        candidates, t2, seed = _aggregate_case(rng, n_candidates=5)
+        a = hyper_sparse_aggregate(candidates, t2, seed)
+        b = hyper_sparse_aggregate(candidates, t2, seed)
         assert (a.idx_a, a.idx_b, a.weight) == (b.idx_a, b.idx_b, b.weight)
 
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            AggregationParams(c=0.0)
-        with pytest.raises(ValueError):
-            AggregationParams(phi=-1.0)
-        with pytest.raises(ValueError):
-            AggregationParams(phi="latest")
 
-
-def _survivors(candidates, t2, params):
+def _survivors(candidates, t2, seed):
     # re-derive the margin rule independently of the implementation
-    t21, _ = split_uniform(t2, params.split_seed)
+    t21, _ = split_uniform(t2, seed)
     preds = [f(t21.x) for f in candidates]
     risks = [float(np.mean((t21.y - p) ** 2)) for p in preds]
     best = int(np.argmin(risks))
@@ -278,7 +268,7 @@ def _survivors(candidates, t2, params):
     kept = set()
     for idx in range(len(candidates)):
         dist = math.sqrt(float(np.mean((preds[best] - preds[idx]) ** 2)))
-        if risks[idx] <= risks[best] + params.c * max(phi * dist, phi * phi):
+        if risks[idx] <= risks[best] + max(phi * dist, phi * phi):
             kept.add(idx)
     return best, kept
 
@@ -288,9 +278,8 @@ class TestSaTkrr:
         rng = np.random.default_rng(415)
         target = _dataset(rng, 24)
         sources = [_dataset(rng, 14) for _ in range(3)]
-        params = AggregationParams(split_seed=11)
-        a = sa_tkrr(target, sources, params, SCHED, CFG)
-        b = sa_tkrr(target, sources, params, SCHED, CFG)
+        a = sa_tkrr(target, sources, 11, SCHED, CFG)
+        b = sa_tkrr(target, sources, 11, SCHED, CFG)
         assert (a.idx_a, a.idx_b, a.weight) == (b.idx_a, b.idx_b, b.weight)
         xq = rng.random((5, 1))
         assert np.array_equal(a(xq), b(xq))
@@ -299,36 +288,35 @@ class TestSaTkrr:
         rng = np.random.default_rng(416)
         target = _dataset(rng, 20)
         sources = [_dataset(rng, 10) for _ in range(2)]
-        with_retrain = sa_tkrr(
-            target, sources, AggregationParams(split_seed=2, retrain=True), SCHED, CFG
+        t2, cs = prepare_candidates(target, sources, 2, SCHED, CFG)
+        picked = hyper_sparse_aggregate(cs.candidates, t2, 2)
+        model = sa_tkrr(target, sources, 2, SCHED, CFG)
+        assert (model.idx_a, model.idx_b, model.weight) == (
+            picked.idx_a, picked.idx_b, picked.weight
         )
-        without = sa_tkrr(
-            target, sources, AggregationParams(split_seed=2, retrain=False), SCHED, CFG
-        )
-        assert (with_retrain.idx_a, with_retrain.weight) == (without.idx_a, without.weight)
 
-        def target_rows(model):
+        def target_rows(candidate):
             # Target rows are the anchors of the target-only fit, or of the
             # debias step of a two-step candidate.
-            inner = model.candidates[model.idx_a]
-            if isinstance(inner, WeightedSum):
-                inner = inner.parts[1]
-            return inner.anchors.shape[0]
+            if isinstance(candidate, WeightedSum):
+                candidate = candidate.parts[1]
+            return candidate.anchors.shape[0]
 
-        assert target_rows(without) == 10  # fitted on the T1 half
-        assert target_rows(with_retrain) == 20  # refitted on everything
+        for i, w in ((model.idx_a, model.weight), (model.idx_b, 1.0 - model.weight)):
+            if w != 0.0:
+                assert target_rows(cs.candidates[i]) == 10  # prepared on the T1 half
+                assert target_rows(model.candidates[i]) == 20  # refitted on everything
 
     @pytest.mark.parametrize("weight", [0.0, 1.0])
     def test_refits_only_the_weighted_candidate(self, monkeypatch, weight):
         rng = np.random.default_rng(423)
         target = _dataset(rng, 20)
         sources = [_dataset(rng, 10) for _ in range(2)]
-        params = AggregationParams(split_seed=4)
-        prepared = prepare_candidates(target, sources, params, SCHED, CFG)
+        prepared = prepare_candidates(target, sources, 4, SCHED, CFG)
         fit_candidate = aggregate._fit_candidate
         refits = []
 
-        def pick_pair(candidates, t2, params):
+        def pick_pair(candidates, t2, split_seed):
             return AggregateModel(idx_a=1, idx_b=2, weight=weight, candidates=tuple(candidates))
 
         def counted(level, *args):
@@ -337,7 +325,7 @@ class TestSaTkrr:
 
         monkeypatch.setattr(aggregate, "hyper_sparse_aggregate", pick_pair)
         monkeypatch.setattr(aggregate, "_fit_candidate", counted)
-        model = sa_tkrr(target, sources, params, SCHED, CFG, prepared)
+        model = sa_tkrr(target, sources, 4, SCHED, CFG, prepared)
         used = 1 if weight == 1.0 else 2
         assert refits == [used]
         assert (model.idx_a, model.idx_b, model.weight) == (1, 2, weight)
@@ -349,10 +337,9 @@ class TestSaTkrr:
         rng = np.random.default_rng(424)
         target = _dataset(rng, 22)
         sources = [_dataset(rng, 12) for _ in range(3)]
-        params = AggregationParams(split_seed=6)
-        prepared = prepare_candidates(target, sources, params, SCHED, CFG)
-        a = sa_tkrr(target, sources, params, SCHED, CFG)
-        b = sa_tkrr(target, sources, params, SCHED, CFG, prepared)
+        prepared = prepare_candidates(target, sources, 6, SCHED, CFG)
+        a = sa_tkrr(target, sources, 6, SCHED, CFG)
+        b = sa_tkrr(target, sources, 6, SCHED, CFG, prepared)
         assert (a.idx_a, a.idx_b, a.weight) == (b.idx_a, b.idx_b, b.weight)
         xq = rng.random((5, 1))
         assert np.array_equal(a(xq), b(xq))
@@ -363,27 +350,25 @@ class TestSaTkrr:
         rng = np.random.default_rng(425)
         target = _dataset(rng, 22)
         sources = [_dataset(rng, 12) for _ in range(3)]
-        params = AggregationParams(split_seed=7)
         fits = []
         monkeypatch.setattr(
             aggregate, "fit_krr", lambda data, *a: fits.append(data.n) or fit_krr(data, *a)
         )
-        t2, cs = prepare_candidates(target, sources, params, SCHED, CFG)
+        t2, cs = prepare_candidates(target, sources, 7, SCHED, CFG)
         assert fits == [11, 12, 12, 12]
-        t1, _ = split_uniform(target, params.split_seed)
+        t1, _ = split_uniform(target, 7)
         expect = fit_krr(t1, schedule_lambda_source(11, SCHED), CFG)
         assert np.array_equal(cs.candidates[0].coefficients, expect.coefficients)
 
     def test_no_sources_is_target_only_krr(self):
         rng = np.random.default_rng(426)
         target = _dataset(rng, 22)
-        params = AggregationParams(split_seed=8)
-        t2, cs = prepare_candidates(target, [], params, SCHED, CFG)
+        t2, cs = prepare_candidates(target, [], 8, SCHED, CFG)
         assert (cs.m, cs.nested_sets, len(cs.candidates)) == (0, ((),), 1)
-        t1, _ = split_uniform(target, params.split_seed)
+        t1, _ = split_uniform(target, 8)
         expect = fit_krr(t1, schedule_lambda_source(11, SCHED), CFG)
         assert np.array_equal(cs.candidates[0].coefficients, expect.coefficients)
-        model = sa_tkrr(target, [], params, SCHED, CFG, (t2, cs))
+        model = sa_tkrr(target, [], 8, SCHED, CFG, (t2, cs))
         assert (model.idx_a, model.idx_b, model.weight) == (0, 0, 1.0)
         krr = fit_krr(target, schedule_lambda_source(22, SCHED), CFG)
         xq = rng.random((5, 1))
@@ -394,7 +379,7 @@ class TestSaTkrr:
     def test_needs_four_rows(self):
         rng = np.random.default_rng(417)
         with pytest.raises(ValueError):
-            sa_tkrr(_dataset(rng, 3), [_dataset(rng, 5)], AggregationParams(), SCHED, CFG)
+            sa_tkrr(_dataset(rng, 3), [_dataset(rng, 5)], 0, SCHED, CFG)
 
 
 class TestAew:

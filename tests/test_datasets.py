@@ -39,6 +39,16 @@ class TestLoadCsv:
         assert ds.n == 2
         assert "dropped 2" in caplog.text
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
+    def test_drops_non_finite_numbers(self, tmp_path, caplog, token):
+        # float() parses each token, but to a NaN or an infinity.
+        path = write(tmp_path, "a.csv", f"u,y\n1,2\n{token},3\n4,{token}\n5,6\n")
+        with caplog.at_level(logging.INFO):
+            ds = load_csv(StudyConfig(path=path, feature_columns=("u",), response_column="y"))
+        np.testing.assert_array_equal(ds.x, [[1], [5]])
+        np.testing.assert_array_equal(ds.y, [2, 6])
+        assert "dropped 2 unparseable rows (2 kept)" in caplog.text
+
     def test_semicolon_delimiter(self, tmp_path):
         path = write(tmp_path, "wine.csv", '"a";"b";"y"\n1;2;3\n')
         ds = load_csv(StudyConfig(path=path, feature_columns=("a", "b"), response_column="y"))

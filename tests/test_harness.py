@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tkrr import aggregate, harness
-from tkrr.aggregate import AggregateModel, AggregationParams
+from tkrr.aggregate import AggregateModel
 from tkrr.datasets import StudyConfig, load_studies
 from tkrr.harness import (
     METHODS,
@@ -35,22 +35,22 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # sha256 of json.dumps(config_to_dict(config_from_json(path)), indent=2), the
 # config.json that `tkrr simulate` archives, for every shipped config.
 ARCHIVED_CONFIG_SHA256 = {
-    "fig3.json": "50384fd90347e3205a9620f33858d0b27cea9d66ead628c4e80edf9acc52b359",
-    "fig4.json": "0e7cb2927a8248aa9b465ad95ea6cc167d34851d28c687194c936a316afb14bf",
-    "fig5.json": "b6de8379b16e07213418a2d79c11810215689d2273cbcf05cfab2f595599ab5d",
-    "fig6.json": "ab059062f40d06169981626b47b12148b2046158860528cddba550beaeefa4f9",
-    "usedcar_audi.json": "967e2df5886941a75a486f7b526575569f97071400e5c10bad383dc27ac3afba",
-    "usedcar_bmw.json": "39aa58c255a954e659ce3d1162616eb1a6340869f243eb6e9b9c417b686f2b51",
-    "usedcar_ford.json": "58a8c92426859ba0935e17a269c2630850fe950c716297c5c85ed56301fa127a",
-    "usedcar_hyundi.json": "a4099d4ad023f1e5d795ee568a0e69488dbb598a591dcfae2334ca501c007c9c",
-    "usedcar_merc.json": "3cf7fd2a43e3aea5c2c4e82da1f7cd07e4806e5d5ddd2ad3eb5a090cbce72f5d",
-    "usedcar_skoda.json": "a608a3f197db4adad6706f8e91d80629df695e9437ca387b9e0e97c32cf59bef",
-    "usedcar_toyota.json": "fe08e06bfd38393dcc1e814213cbc5d11eac58ceeccafe84851b42f2632be448",
-    "usedcar_vauxhall.json": "482fef5e8fea5ec734e9fcd38e94877cb3081c498bc3ad7c22e3966d41dee127",
-    "usedcar_vw.json": "a0ab8dfd21c01831e6dc0906cc88f9955caeb42d6755ad680e89a7baed8111ff",
-    "wine_n100.json": "753e5adb8c52692b30d64a22b7be3430b1d3be63a1e99fe44634fc7c78a8eda0",
-    "wine_n200.json": "f8c08fa5d0c3eccdfb2b61f30ebfb22ca5b489eb3ecaf53fab8ede7944e2728f",
-    "wine_n300.json": "4a6dcd1274435a3971c8bf1b2683fce8325dc140546903c9c295bde29b1d468c",
+    "fig3.json": "15a634df7a149ddffdfd3f2e2eff5dded86a31cb4210dfc396f82b04b1efe1dc",
+    "fig4.json": "b1161c2be18eb1680e5199f933aa8cd3ccc28878a9256387f1b28e97d64fdba8",
+    "fig5.json": "3f14e9d642710ee0f33f170c53d50a477ea81bd00a7973da5594d8718ea027b3",
+    "fig6.json": "104c963b05aed0ad70f697131afd58155b77855803ef31f3547c245e4b427d50",
+    "usedcar_audi.json": "c268b18911897c547db2f0f6f04fa1df5cf2c0f396911eed90464fd0baed26b0",
+    "usedcar_bmw.json": "a63ab3b582185251f2f632325a05073fd80f3850522d6ea338e89aeb3334667e",
+    "usedcar_ford.json": "c5607fbc551b36ce2f8f672b74b1af57541c1081765bdb21ec1895e24ee6782f",
+    "usedcar_hyundi.json": "a0e54534094cc054ea33d863b4da25b59c6cf1faa83ac9df5ece766214efc14a",
+    "usedcar_merc.json": "76a2ce676779b8bbd567811d3f52b09b2b591df2729657645121eb11c758e231",
+    "usedcar_skoda.json": "d25f07a450bbed9eeb9b0d8124dad9f702af4ce5787cd52ecad730cd3e57ac63",
+    "usedcar_toyota.json": "f7dcac10006a3b3434c138d3105b9e9eb46a3a29126b6fb5b9d8eb91878d6ed8",
+    "usedcar_vauxhall.json": "f6b8ee82009919258ee000a9c876996bf47aef867c142fabaf1eed86792e3334",
+    "usedcar_vw.json": "3f409fb40b12668fc42ad82d31b763e63bb644d5ec400c6045f215a3ada99224",
+    "wine_n100.json": "7e83290ec9a71b4f238538ad5dfe77a037861269896eb407e4f121a0c786655b",
+    "wine_n200.json": "5eab4c8c9d28c5b53016e04ce4a8eb1ac3e7a6e26326a26be0c78e6d1591b379",
+    "wine_n300.json": "b80f30c54ff02a494aaffa38bde4cca8f24ca334adaf58825cd7b076871fe4a0",
 }
 
 
@@ -262,7 +262,7 @@ class TestSharedStages:
         cell_seed, target, sources, transferable, _, _ = harness.build_cell(cfg, 0, 0)
         m = len(sources)
 
-        def all_sources(candidates, t2, params):
+        def all_sources(candidates, t2, split_seed):
             return AggregateModel(idx_a=m, idx_b=0, weight=0.5, candidates=tuple(candidates))
 
         monkeypatch.setattr(aggregate, "hyper_sparse_aggregate", all_sources)
@@ -423,10 +423,7 @@ class TestCsvEmission:
 
 class TestConfigPlumbing:
     def test_json_round_trip(self):
-        cfg = tiny_config(
-            aggregation=AggregationParams(c=2.0, phi=0.3, split_seed=9, retrain=False),
-            fixed=(("a_h", 2),),
-        )
+        cfg = tiny_config(fixed=(("a_h", 2),))
         doc = config_to_dict(cfg)
         back = config_from_json(json.loads(json.dumps(doc)))
         assert back == cfg
@@ -463,6 +460,29 @@ class TestConfigPlumbing:
         doc["replication"] = 2
         with pytest.raises(TypeError, match="'replication'"):
             config_from_json(doc)
+
+    def test_removed_keys_rejected(self):
+        # SA's margin, phi, split seed and refit, the kernel family and the
+        # per-study standardize switch are fixed; a config that sets one fails.
+        doc = json.loads((CONFIGS / "fig6.json").read_text())
+        doc["aggregation"] = {"c": 1.0, "phi": "auto", "split_seed": 0, "retrain": True}
+        with pytest.raises(TypeError, match="'aggregation'"):
+            config_from_json(doc)
+        doc = json.loads((CONFIGS / "fig6.json").read_text())
+        doc["kernel"]["family"] = "gaussian"
+        with pytest.raises(TypeError, match="'family'"):
+            config_from_json(doc)
+        doc = json.loads((CONFIGS / "wine_n100.json").read_text())
+        doc["scenario"][1]["standardize"] = True
+        with pytest.raises(TypeError, match="'standardize'"):
+            config_from_json(doc)
+
+    def test_readme_config_schema_loads(self):
+        readme = (CONFIGS.parent / "README.md").read_text()
+        section = readme.split("### Config schema", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        # Raises if the documented example has drifted from the schema.
+        config_from_json(json.loads(block))
 
     def test_sweep_and_example_names_are_exact(self):
         for name in ("|A_h|", "N0", "n_{A_h}"):
@@ -534,9 +554,12 @@ class TestThreads:
         assert resolve_threads(0) == 1
         assert resolve_threads() >= 1
 
-    def test_default_is_the_cpus_this_process_may_use(self, monkeypatch):
-        # Not the host's CPU count: a process pinned to 3 of 64 CPUs gets 3 workers.
+    def test_default_is_one_worker(self, monkeypatch):
+        # Whatever the host offers: 64 CPUs, all of them usable, still one worker.
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
-        assert resolve_threads() == 3
+        monkeypatch.setattr(
+            harness.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False
+        )
+        assert resolve_threads() == 1
+        assert resolve_threads(None) == 1
         assert resolve_threads(2) == 2

@@ -90,8 +90,6 @@ class TestKernelEval:
     def test_bad_config(self):
         with pytest.raises(ValueError):
             KernelConfig(bandwidth=0.0)
-        with pytest.raises(ValueError):
-            KernelConfig(family="laplace")
 
 
 class TestGramMatrix:

@@ -15,7 +15,6 @@ import logging
 import numpy as np
 
 from tkrr import aggregate, datasets, harness, kernels, krr
-from tkrr.aggregate import AggregationParams
 from tkrr.datasets import StudyConfig
 from tkrr.kernels import Dataset, KernelConfig
 from tkrr.krr import LambdaSchedule
@@ -69,7 +68,7 @@ def test_result_attributes_the_tracer_reads():
     assert len(built.candidates) == 3
     mixed = aggregate.aew_aggregate(built.candidates, target, 1.0)
     assert len(mixed.weights) == 3
-    model = aggregate.sa_tkrr(target, sources, AggregationParams(split_seed=3), sched, cfg)
+    model = aggregate.sa_tkrr(target, sources, 3, sched, cfg)
     assert {model.idx_a, model.idx_b} <= {0, 1, 2} and 0.0 <= model.weight <= 1.0
 
 
