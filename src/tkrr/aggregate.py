@@ -3,15 +3,15 @@
 The target sample is split in half. On the first half each source gets a
 contrast score, the RKHS distance between its own KRR fit and the
 target-only fit; ranking the scores induces nested candidate source sets
-and one two-step fit per set (prepare_candidates runs these stages once,
-so SA and exponential weighting can share them). On the second half a
-hyper-sparse aggregation picks a convex pair of candidates: an
-empirical-risk winner on one sub-half, a margin rule that keeps
-near-winners, and a closed-form mixing weight fitted on the other sub-half.
-SA then refits the chosen pair on the whole target. The rule has no
-settings: the margin is that of Gaiffas & Lecue 2011 with constant 1.
-Exponential weighting over the same candidates is provided as a softer
-alternative.
+and one two-step fit per set, their pooled steps one nested ladder in rank
+order (prepare_candidates runs these stages once, so SA and exponential
+weighting can share them). On the second half a hyper-sparse aggregation
+picks a convex pair of candidates: an empirical-risk winner on one
+sub-half, a margin rule that keeps near-winners, and a closed-form mixing
+weight fitted on the other sub-half. SA then refits the chosen pair on the
+whole target, pooling in index order. The rule has no settings: the
+margin is that of Gaiffas & Lecue 2011 with constant 1. Exponential
+weighting over the same candidates is provided as a softer alternative.
 
 Every fitted model is a callable on covariate rows: a RepresenterFunction
 (candidate 0, target-only KRR), a WeightedSum (the two-step candidates and
@@ -39,10 +39,11 @@ from .kernels import (
 from .krr import (
     LambdaSchedule,
     fit_krr,
+    fit_krr_nested,
     schedule_lambda_debias,
     schedule_lambda_source,
 )
-from .transfer import SourceCollection, fit_ah_tkrr
+from .transfer import SourceCollection, _pooled_dataset, fit_ah_tkrr
 
 __all__ = [
     "CandidateSet",
@@ -65,8 +66,9 @@ class CandidateSet:
     ranks is a permutation of 1..m (rank 1 = smallest contrast, ties broken
     by source index). nested_sets, derived from ranks, lists the m+1 induced
     source sets from the empty set up to all sources, each in rank order.
-    The candidate fit of a set pools its sources in index order, so a pooled
-    fit depends only on the set and not on the ranking. candidates holds the
+    The candidate fits on T1 pool their sources in rank order, as rungs of
+    one nested ladder; a refit on the whole target pools them in index
+    order, so a refit depends only on the set. candidates holds the
     m+1 models (index 0 = target-only KRR) and may be empty on a
     ranking-only result.
     """
@@ -197,13 +199,18 @@ def build_candidates(
     """Fit the m+1 candidate models induced by a ranking.
 
     Candidate 0 is target_fit, the target-only KRR fit on t1; candidate l
-    pools t1 with the l lowest-contrast sources, in index order, and runs the
-    two-step fit, with the debias ridge using the plug-in offset max contrast
-    within the set.
+    pools t1 with the l lowest-contrast sources and runs the two-step fit,
+    the debias ridge using the plug-in offset max contrast within the set.
+    The pooled steps are the rungs of one krr.fit_krr_nested ladder on t1
+    followed by the sources in rank order.
     """
+    ranked_all = SourceCollection(tuple(sources), ranked.nested_sets[-1])
+    sizes = t1.n + np.cumsum([sources[k - 1].n for k in ranked_all.transferable], dtype=int)
+    lam1 = [schedule_lambda_source(int(n), schedules) for n in sizes]
+    ladder = fit_krr_nested(_pooled_dataset(t1, ranked_all), sizes, lam1, cfg)
     candidates = (target_fit,) + tuple(
-        _fit_candidate(level, t1, sources, ranked, schedules, cfg)
-        for level in range(1, ranked.m + 1)
+        _fit_candidate(level, t1, sources, ranked, schedules, cfg, lambda *_, f=pooled: f)
+        for level, pooled in enumerate(ladder, start=1)
     )
     return dataclasses.replace(ranked, candidates=candidates)
 
@@ -305,10 +312,10 @@ def sa_tkrr(
     been computed. The chosen candidates with nonzero weight are then refit
     on the full target sample at schedules recomputed for the full size,
     keeping the T1 contrast estimates for the plug-in offset and the mixing
-    weight unchanged. `pool`, if given, makes a refit's pooled
-    step, called as transfer.fit_pooled is (on the whole target); the sweep
-    passes its per-cell store, so a refit reuses a pooled fit of the same
-    source set that another method of the cell has made.
+    weight unchanged; a refit pools in index order. `pool`, if given, makes
+    a refit's pooled step, called as transfer.fit_pooled is (on the whole
+    target); the sweep passes its per-cell store, so a refit reuses a pooled
+    fit of the same source set that another method of the cell has made.
     """
     if target.n < 4:
         raise TooFewRowsError(f"need at least 4 target rows, got {target.n}")

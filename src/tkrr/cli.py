@@ -3,7 +3,7 @@
 Subcommands:
     simulate   run a sweep from a JSON config, write results/summary CSVs
     fit        fit one method on the config's first cell, dump predictions
-    rank       print per-source contrast norms and ranks
+    rank       print the first cell's per-source contrast norms and SA ranks
     plot       render a summary CSV to an SVG line chart
 
 --seed and --out override the config's seed and output_dir.
@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .aggregate import rank_contrasts
+from .aggregate import rank_contrasts, split_uniform
 from .charts import ChartSpec, emit_svg_lines
 from .csvio import write_csv
 from .harness import (
@@ -85,11 +85,12 @@ def _cmd_fit(args) -> int:
 
 def _cmd_rank(args) -> int:
     config = _load_config(args)
-    _, target, sources, _, _, _ = harness.build_cell(config, 0, 0)
+    cell_seed, target, sources, _, _, _ = harness.build_cell(config, 0, 0)
     if not sources:
         print("no sources to rank: the first cell has none")
         return 0
-    ranked = rank_contrasts(target, sources, config.schedules, config.kernel)
+    t1, _ = split_uniform(target, harness._sa_split_seed(cell_seed))
+    ranked = rank_contrasts(t1, sources, config.schedules, config.kernel)
     print(f"{'source':>6}  {'n':>6}  {'contrast':>12}  {'rank':>4}")
     for k, src in enumerate(sources, start=1):
         print(
@@ -159,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, help=f"one of {', '.join(METHODS)}")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("rank", help="print contrast norms and source ranks")
+    p = sub.add_parser("rank", help="print SA_TKRR's contrast norms and source ranks")
     common(p)
     p.set_defaults(func=_cmd_rank)
 

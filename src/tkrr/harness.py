@@ -73,6 +73,8 @@ __all__ = [
 
 METHODS = ("KRR", "AhTKRR", "AhTKRR_WD", "Pooled_TKRR", "SA_TKRR", "AEW_TKRR")
 SWEEPS = ("s", "a_h", "n0", "n_ah", "m")
+# The seed of SA's and AEW's target split, from a cell's seed.
+_sa_split_seed = partial(derive_seed, 0)
 
 _BLAS_ENV = (
     "OMP_NUM_THREADS",
@@ -319,7 +321,7 @@ def _fit_method(
 
     if method not in ("SA_TKRR", "AEW_TKRR"):
         raise ValueError(f"unknown method {method!r}")
-    split_seed = derive_seed(0, cell_seed)
+    split_seed = _sa_split_seed(cell_seed)
     prepared = _once(
         shared, "candidates", lambda: prepare_candidates(target, sources, split_seed, sched, cfg)
     )

@@ -2,10 +2,11 @@
 
 fit_krr solves the representer system (K + n*lambda*I) beta = y, which is
 the first-order condition of the 1/n squared loss plus lambda times the
-squared RKHS norm. The two schedule functions map sample sizes to ridge
-levels at the smoothness/eigendecay rates used throughout the estimators:
-the source-sample rate for pooled fits and the bias-aware rate for the
-debias step.
+squared RKHS norm; fit_krr_nested fits nested leading row blocks of one
+dataset. The two schedule functions map sample sizes to ridge levels at
+the smoothness/eigendecay rates used throughout the estimators: the
+source-sample rate for pooled fits and the bias-aware rate for the debias
+step.
 """
 
 from __future__ import annotations
@@ -13,11 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
 from .kernels import (
     Dataset,
     KernelConfig,
     RepresenterFunction,
     TooFewRowsError,
+    cho_factor,
+    lapack,
     ridge_system,
     spd_solve,
 )
@@ -25,6 +30,7 @@ from .kernels import (
 __all__ = [
     "LambdaSchedule",
     "fit_krr",
+    "fit_krr_nested",
     "schedule_lambda_source",
     "schedule_lambda_debias",
 ]
@@ -32,6 +38,9 @@ __all__ = [
 # Plug-in similarity estimates can collapse to zero on easy scenarios; the
 # debias schedule floors them so the exponent never blows up.
 H_FLOOR = 1e-3
+# A rung's CG stops at relative residual _CG_TOL, within _CG_CAP * sqrt(kappa) steps: more
+# than the sqrt(kappa)/2 * log(2 sqrt(kappa) / _CG_TOL) it needs for any kappa up to 1e6.
+_CG_TOL, _CG_CAP = 1e-14, 20
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,57 @@ def fit_krr(data: Dataset, ridge: float, cfg: KernelConfig) -> RepresenterFuncti
     build = partial(ridge_system, cfg, data.x, data.n * ridge)
     beta = spd_solve(build(), data.y, refill=build)
     return RepresenterFunction(anchors=data.x, coefficients=beta, kernel=cfg)
+
+
+def _ladder(cfg: KernelConfig, x, y, sizes, shifts):
+    # Rows beta_k, zero past sizes[k], and which rungs met the tolerance.
+    c = np.sqrt(shifts.min() * shifts.max())
+    try:
+        cho_factor(factor := ridge_system(cfg, x, c))
+    except np.linalg.LinAlgError:
+        return None, np.zeros(len(sizes), dtype=bool)
+    flat, past = factor.reshape(-1, order="F"), np.arange(len(y)) >= sizes[:, None]
+
+    def solve(v, rungs):  # v[i] times M_k^-1 for k = rungs[i], in place:
+        t = lapack.dtfsm(1.0, flat, v.T, uplo="L", trans="N", overwrite_b=1)
+        t.T[past[rungs]] = 0.0  # L^-1, the rows past each block cut, L^-T
+        return lapack.dtfsm(1.0, flat, t, uplo="L", trans="T", overwrite_b=1).T
+
+    res = np.where(past, 0.0, y)
+    w, p, rr = np.zeros_like(res), res.copy(), np.einsum("ij,ij->i", res, res)
+    stop = _CG_TOL**2 * rr
+    for _ in range(int(np.ceil(_CG_CAP * np.sqrt(c / shifts.min())))):
+        if (a := np.flatnonzero(rr > stop)).size == 0:
+            break
+        q = (pa := p[a]) - (c - shifts[a])[:, None] * solve(p[a], a)
+        alpha = rr[a] / np.einsum("ij,ij->i", pa, q)
+        w[a] += alpha[:, None] * pa
+        res[a] -= alpha[:, None] * q
+        ra = np.einsum("ij,ij->i", res[a], res[a])
+        p[a], rr[a] = res[a] + (ra / rr[a])[:, None] * pa, ra
+    return solve(w, slice(None)), rr <= stop
+
+
+def fit_krr_nested(data: Dataset, sizes, ridges, cfg: KernelConfig) -> tuple:
+    """Fit k is KRR on the first sizes[k] rows of data at ridge ridges[k].
+
+    For shifts s_k = sizes[k] * ridges[k] and c = sqrt(min s * max s), one
+    Cholesky factor of K + c I holds each M_k = K_k + c I as a leading block.
+    Rung k runs CG on (I - (c - s_k) M_k^-1) w = y_k, a spectrum in [1/kappa,
+    kappa] for kappa = sqrt(max s / min s), and beta_k = M_k^-1 w. A rung
+    short of the tolerance at the cap, or all if the factorization fails, is
+    fit_krr itself. Memory: the largest rung's packed system, rungs x n arrays.
+    """
+    sizes, ridges = np.asarray(sizes, dtype=int).ravel(), np.asarray(ridges, dtype=float).ravel()
+    if ridges.shape != sizes.shape or not all(r > 0 and 1 <= k <= data.n for k, r in zip(sizes, ridges)):
+        raise ValueError(f"need positive ridges for sizes in 1..{data.n}: {sizes}, {ridges}")
+    n = sizes.max(initial=0)
+    beta, done = _ladder(cfg, data.x[:n], data.y[:n], sizes, sizes * ridges) if n else (None, ())
+    return tuple(
+        RepresenterFunction(data.x[:k], beta[i, :k], cfg) if done[i]
+        else fit_krr(Dataset(data.x[:k], data.y[:k]), float(r), cfg)
+        for i, (k, r) in enumerate(zip(sizes, ridges))
+    )
 
 
 def schedule_lambda_source(n: int, schedule: LambdaSchedule) -> float:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tkrr import aggregate
+from tkrr import aggregate, kernels, krr
 from tkrr.aggregate import (
     AggregateModel,
     CandidateSet,
@@ -136,30 +136,64 @@ class TestRankContrasts:
 
 class TestBuildCandidates:
     def test_structure_and_ridges(self):
-        # Ridges are checked by refitting each step at its schedule value:
-        # the candidate must match bit for bit.
+        # The pooled steps are a nested ladder on T1 followed by the sources
+        # in rank order. Ridges are checked by refitting each pooled step at
+        # its schedule value with fit_krr on the same rows, and pooled
+        # predictions against fit_pooled's index-order fit, both within
+        # fit_krr_nested's 1e-12 relative bound; the debias step, fitted on
+        # the same pooled object, must match bit for bit.
         rng = np.random.default_rng(407)
         t1 = _dataset(rng, 12)
         sources = [_dataset(rng, n) for n in (6, 9, 7)]
         ranked = rank_contrasts(t1, sources, SCHED, CFG)
+        assert ranked.ranks.tolist() != [1, 2, 3]
         f0 = fit_krr(t1, schedule_lambda_source(12, SCHED), CFG)
         cs = build_candidates(t1, sources, ranked, SCHED, CFG, f0)
         assert len(cs.candidates) == 4
         assert cs.candidates[0] is f0
+        x_test = rng.random((30, 1))
+
+        def close(got, want):
+            return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
         for level, model in enumerate(cs.candidates[1:], start=1):
             assert isinstance(model, WeightedSum)
             assert model.weights.tolist() == [1.0, 1.0]
             pooled, debias = model.parts
             subset = cs.nested_sets[level]
-            coll = SourceCollection(sources=tuple(sources), transferable=tuple(sorted(subset)))
+            rows = [t1] + [sources[k - 1] for k in subset]
+            assert np.array_equal(pooled.anchors, np.concatenate([d.x for d in rows]))
             n_pool = 12 + sum(sources[k - 1].n for k in subset)
             lam1 = schedule_lambda_source(n_pool, SCHED)
-            want = fit_pooled(t1, coll, lam1, CFG)
-            assert np.array_equal(pooled.coefficients, want.coefficients)
+            ys = np.concatenate([d.y for d in rows])
+            assert close(pooled(x_test), fit_krr(Dataset(pooled.anchors, ys), lam1, CFG)(x_test))
+            coll = SourceCollection(sources=tuple(sources), transferable=tuple(sorted(subset)))
+            assert close(pooled(x_test), fit_pooled(t1, coll, lam1, CFG)(x_test))
             h = max(cs.contrast_norms[k - 1] for k in subset)
             lam2 = schedule_lambda_debias(12, h, SCHED)
             want = fit_debias(t1, pooled, lam2, CFG)
             assert np.array_equal(debias.coefficients, want.coefficients)
+
+    def test_one_factor_larger_than_t1(self, monkeypatch):
+        # The m pooled systems share one Cholesky factor: every other
+        # factorization is of a system on T1's rows (the debias steps).
+        rng = np.random.default_rng(409)
+        t1 = _dataset(rng, 12)
+        sources = [_dataset(rng, n) for n in (6, 9, 7, 5)]
+        ranked = rank_contrasts(t1, sources, SCHED, CFG)
+        f0 = fit_krr(t1, schedule_lambda_source(12, SCHED), CFG)
+        orders = []
+        real = kernels.cho_factor
+
+        def spy(system):
+            orders.append(kernels._packed_order(system))
+            return real(system)
+
+        monkeypatch.setattr(kernels, "cho_factor", spy)
+        monkeypatch.setattr(krr, "cho_factor", spy, raising=False)
+        build_candidates(t1, sources, ranked, SCHED, CFG, f0)
+        assert [n for n in orders if n > 12] == [12 + 6 + 9 + 7 + 5]
+        assert orders.count(12) == 4
 
     def test_candidate_count_validation(self):
         with pytest.raises(ValueError):

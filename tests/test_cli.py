@@ -229,6 +229,18 @@ class TestRank:
         ranks = sorted(int(ln.split()[-1]) for ln in out[1:])
         assert ranks == [1, 2, 3]
 
+    def test_prints_the_ranking_sa_uses(self, tmp_path, capsys):
+        # The ranks SA_TKRR fits its candidates with: on the first half of
+        # the first cell's target, split with the sweep's seed.
+        cfg = write_config(tmp_path, methods=["SA_TKRR"])
+        assert main(["rank", "--config", str(cfg)]) == 0
+        printed = [int(ln.split()[-1]) for ln in capsys.readouterr().out.strip().splitlines()[1:]]
+        config = harness.config_from_json(str(cfg))
+        cell_seed, target, sources, transferable, _, _ = harness.build_cell(config, 0, 0)
+        shared = {}
+        harness._fit_method("SA_TKRR", target, sources, transferable, config, cell_seed, shared)
+        assert printed == shared["candidates"][1].ranks.tolist()
+
     def test_cell_without_sources_prints_one_line(self, tmp_path, capsys):
         cfg = write_real_config(tmp_path, write_csv_studies(tmp_path), n_ah=(0,))
         assert main(["rank", "--config", str(cfg)]) == 0

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from tkrr import kernels
+from tkrr import kernels, krr
 from tkrr.kernels import Dataset, KernelConfig, TooFewRowsError, gram_matrix
 from tkrr.krr import (
     H_FLOOR,
     LambdaSchedule,
     fit_krr,
+    fit_krr_nested,
     schedule_lambda_debias,
     schedule_lambda_source,
 )
@@ -167,6 +168,100 @@ class TestFitInvariants:
         ds = Dataset(x=np.zeros((0, 1)), y=np.zeros(0))
         with pytest.raises(TooFewRowsError):
             fit_krr(ds, 0.1, KernelConfig())
+
+
+def _spy_fit_krr(monkeypatch):
+    # Record the row count of every fit_krr call that fit_krr_nested makes.
+    calls = []
+    real = krr.fit_krr
+    monkeypatch.setattr(krr, "fit_krr", lambda data, *a: calls.append(data.n) or real(data, *a))
+    return calls
+
+
+def _nested_case(rng, d, sizes, ridges):
+    n = max(sizes)
+    ds = Dataset(x=rng.normal(size=(n, d)), y=rng.normal(size=n))
+    cfg, x_test = KernelConfig(bandwidth=float(d)), rng.normal(size=(40, d))
+    return ds, cfg, x_test, fit_krr_nested(ds, sizes, ridges, cfg)
+
+
+def _assert_rungs_match(ds, cfg, x_test, sizes, ridges, fits):
+    # Each rung predicts as fit_krr on its leading rows does, within 1e-12
+    # relative to the largest prediction, and keeps those rows as anchors.
+    assert len(fits) == len(sizes)
+    for k, ridge, fit in zip(sizes, ridges, fits):
+        want = fit_krr(Dataset(x=ds.x[:k], y=ds.y[:k]), ridge, cfg)
+        assert np.array_equal(fit.anchors, want.anchors)
+        got, ref = fit(x_test), want(x_test)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestFitKrrNested:
+    SIZES = (30, 90, 1, 200, 400, 250)
+    # The ridge at n rows, so that the shifts n * ridge rise, fall or are
+    # equal. The shifts stay above 0.1: fit_krr's own distance from the exact
+    # solution grows with the system's condition number, and at a shift of
+    # 0.025 on 400 rows in 1-d both fits are 1.5e-12 from a refined solution.
+    SHIFTS = {
+        "rising": lambda n: 0.1 * n ** (-1.0 / 3.0),
+        "falling": lambda n: 5.0 * n**-1.5,
+        "equal": lambda n: 0.2 / n,
+    }
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("shifts", ["rising", "falling", "equal"])
+    def test_rungs_match_fit_krr(self, monkeypatch, d, shifts):
+        rng = np.random.default_rng(220)
+        ridges = [self.SHIFTS[shifts](n) for n in self.SIZES]
+        calls = _spy_fit_krr(monkeypatch)
+        case = _nested_case(rng, d, self.SIZES, ridges)
+        assert calls == []
+        _assert_rungs_match(*case[:3], self.SIZES, ridges, case[3])
+
+    @pytest.mark.parametrize("sizes", [(80,), (1,), (1, 2), (60, 1)])
+    def test_single_and_one_row_rungs(self, sizes):
+        rng = np.random.default_rng(221)
+        ridges = [0.3 * n ** (-1.0 / 3.0) for n in sizes]
+        case = _nested_case(rng, 3, sizes, ridges)
+        _assert_rungs_match(*case[:3], sizes, ridges, case[3])
+
+    def test_no_rungs(self):
+        ds = Dataset(x=np.zeros((3, 1)), y=np.ones(3))
+        assert fit_krr_nested(ds, [], [], KernelConfig()) == ()
+
+    def test_validation(self):
+        ds = Dataset(x=np.zeros((3, 1)), y=np.ones(3))
+        for sizes, ridges in (((2,), (0.0,)), ((2, 3), (0.1,)), ((0,), (0.1,)), ((4,), (0.1,))):
+            with pytest.raises(ValueError):
+                fit_krr_nested(ds, sizes, ridges, KernelConfig())
+
+    def test_failed_factorization_falls_back_to_fit_krr(self, monkeypatch):
+        # Duplicated rows at a ridge far below roundoff: the shared factor
+        # fails, and every rung is fit_krr on its rows, jitter retry included.
+        rng = np.random.default_rng(222)
+        x = rng.normal(size=(150, 2))
+        ds = Dataset(x=np.concatenate([x, x]), y=rng.normal(size=300))
+        sizes, cfg = (200, 300, 250), KernelConfig()
+        calls = _spy_fit_krr(monkeypatch)
+        fits = fit_krr_nested(ds, sizes, [1e-20] * 3, cfg)
+        assert calls == list(sizes)
+        for k, fit in zip(sizes, fits):
+            want = fit_krr(Dataset(x=ds.x[:k], y=ds.y[:k]), 1e-20, cfg)
+            assert np.array_equal(fit.coefficients, want.coefficients)
+            assert np.array_equal(fit.anchors, want.anchors)
+
+    def test_rungs_that_miss_the_cap_are_refit(self, monkeypatch):
+        # With the step cap cut to ceil(sqrt(kappa)) CG steps, only the 1-row
+        # rung, whose operator is a scalar, converges (in one step); the
+        # others are refit by fit_krr and still match it.
+        monkeypatch.setattr(krr, "_CG_CAP", 1)
+        rng = np.random.default_rng(223)
+        sizes = (50, 1, 120)
+        ridges = [self.SHIFTS["rising"](n) for n in sizes]
+        calls = _spy_fit_krr(monkeypatch)
+        case = _nested_case(rng, 2, sizes, ridges)
+        assert calls == [50, 120]
+        _assert_rungs_match(*case[:3], sizes, ridges, case[3])
 
 
 class TestSchedules:
