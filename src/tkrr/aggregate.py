@@ -3,15 +3,18 @@
 The target sample is split in half. On the first half each source gets a
 contrast score, the RKHS distance between its own KRR fit and the
 target-only fit; ranking the scores induces nested candidate source sets
-and one two-step fit per set, their pooled steps one nested ladder in rank
-order (prepare_candidates runs these stages once, so SA and exponential
-weighting can share them). On the second half a hyper-sparse aggregation
-picks a convex pair of candidates: an empirical-risk winner on one
-sub-half, a margin rule that keeps near-winners, and a closed-form mixing
-weight fitted on the other sub-half. SA then refits the chosen pair on the
-whole target, pooling in index order. The rule has no settings: the
-margin is that of Gaiffas & Lecue 2011 with constant 1. Exponential
-weighting over the same candidates is provided as a softer alternative.
+and one two-step fit per set. Their pooled steps, and the whole-target
+all-sources pooled fit, are rungs of one nested ladder whose rows are the
+first half, the sources in rank order, then the second half
+(prepare_candidates runs these stages once, so SA, exponential weighting
+and the all-sources pooled method can share them). On the second half a
+hyper-sparse aggregation picks a convex pair of candidates: an
+empirical-risk winner on one sub-half, a margin rule that keeps
+near-winners, and a closed-form mixing weight fitted on the other
+sub-half. SA then refits the chosen pair on the whole target, pooling in
+index order. The rule has no settings: the margin is that of Gaiffas &
+Lecue 2011 with constant 1. Exponential weighting over the same candidates
+is provided as a softer alternative.
 
 Every fitted model is a callable on covariate rows: a RepresenterFunction
 (candidate 0, target-only KRR), a WeightedSum (the two-step candidates and
@@ -70,12 +73,16 @@ class CandidateSet:
     one nested ladder; a refit on the whole target pools them in index
     order, so a refit depends only on the set. candidates holds the
     m+1 models (index 0 = target-only KRR) and may be empty on a
-    ranking-only result.
+    ranking-only result. pooled is the ladder's top rung, the pooled fit of
+    the whole target with every source, its rows T1, the sources in rank
+    order, then T2; it is None on a ranking-only result, with no sources,
+    or when the candidates were built without T2.
     """
 
     contrast_norms: NDArray[np.float64]
     ranks: NDArray[np.int64]
     candidates: tuple = ()
+    pooled: RepresenterFunction | None = None
 
     def __post_init__(self) -> None:
         norms = np.asarray(self.contrast_norms, dtype=np.float64)
@@ -195,6 +202,7 @@ def build_candidates(
     schedules: LambdaSchedule,
     cfg: KernelConfig,
     target_fit: RepresenterFunction,
+    t2: Dataset | None = None,
 ) -> CandidateSet:
     """Fit the m+1 candidate models induced by a ranking.
 
@@ -202,17 +210,27 @@ def build_candidates(
     pools t1 with the l lowest-contrast sources and runs the two-step fit,
     the debias ridge using the plug-in offset max contrast within the set.
     The pooled steps are the rungs of one krr.fit_krr_nested ladder on t1
-    followed by the sources in rank order.
+    followed by the sources in rank order. Given t2, the rest of the
+    target, and at least one source, the ladder gets one more rung with t2's
+    rows last: the whole-target all-sources pooled fit, at the source-rate
+    ridge for all its rows, returned as the set's pooled field.
     """
     ranked_all = SourceCollection(tuple(sources), ranked.nested_sets[-1])
-    sizes = t1.n + np.cumsum([sources[k - 1].n for k in ranked_all.transferable], dtype=int)
+    data = _pooled_dataset(t1, ranked_all)
+    sizes = list(t1.n + np.cumsum([sources[k - 1].n for k in ranked_all.transferable], dtype=int))
+    whole = t2 is not None and bool(sizes)
+    if whole:
+        data = Dataset(np.concatenate([data.x, t2.x]), np.concatenate([data.y, t2.y]))
+        sizes.append(data.n)
     lam1 = [schedule_lambda_source(int(n), schedules) for n in sizes]
-    ladder = fit_krr_nested(_pooled_dataset(t1, ranked_all), sizes, lam1, cfg)
+    ladder = fit_krr_nested(data, sizes, lam1, cfg)
     candidates = (target_fit,) + tuple(
         _fit_candidate(level, t1, sources, ranked, schedules, cfg, lambda *_, f=pooled: f)
-        for level, pooled in enumerate(ladder, start=1)
+        for level, pooled in enumerate(ladder[: ranked.m], start=1)
     )
-    return dataclasses.replace(ranked, candidates=candidates)
+    return dataclasses.replace(
+        ranked, candidates=candidates, pooled=ladder[-1] if whole else None
+    )
 
 
 def prepare_candidates(
@@ -225,13 +243,14 @@ def prepare_candidates(
     """Split the target in half with split_seed, then rank and build on the first half.
 
     Returns the second half, on which candidates are aggregated, and the
-    candidate set. The target-only fit on T1 serves the ranking and is
-    candidate 0; with no sources it is the only candidate.
+    candidate set, whose pooled field holds the whole-target all-sources
+    pooled fit (None with no sources). The target-only fit on T1 serves the
+    ranking and is candidate 0; with no sources it is the only candidate.
     """
     t1, t2 = split_uniform(target, split_seed)
     f0 = fit_krr(t1, schedule_lambda_source(t1.n, schedules), cfg)
     ranked = rank_contrasts(t1, sources, schedules, cfg, f0)
-    return t2, build_candidates(t1, sources, ranked, schedules, cfg, f0)
+    return t2, build_candidates(t1, sources, ranked, schedules, cfg, f0, t2)
 
 
 def empirical_risk(model, data: Dataset) -> float:
@@ -314,8 +333,10 @@ def sa_tkrr(
     keeping the T1 contrast estimates for the plug-in offset and the mixing
     weight unchanged; a refit pools in index order. `pool`, if given, makes
     a refit's pooled step, called as transfer.fit_pooled is (on the whole
-    target); the sweep passes its per-cell store, so a refit reuses a pooled
-    fit of the same source set that another method of the cell has made.
+    target). The sweep passes its per-cell store: the all-sources refit
+    gets the prepared set's pooled rung, the fit Pooled_TKRR uses, and a
+    refit of any other set reuses a pooled fit of that set that another
+    method of the cell has made.
     """
     if target.n < 4:
         raise TooFewRowsError(f"need at least 4 target rows, got {target.n}")

@@ -44,7 +44,7 @@ from .datasets import (
     load_studies,
     subsample_split,
 )
-from .kernels import Dataset, KernelConfig, TooFewRowsError
+from .kernels import Dataset, KernelConfig, RepresenterFunction, TooFewRowsError
 from .krr import (
     LambdaSchedule,
     fit_krr,
@@ -277,12 +277,49 @@ def _once(shared: dict, key, fit):
     return shared[key]
 
 
-def _pooled(shared: dict, target: Dataset, coll: SourceCollection, lam1: float, cfg: KernelConfig):
+@dataclass(frozen=True, eq=False)
+class _Kept(RepresenterFunction):
+    """A cell's shared pooled fit that keeps its values at the cell's rows.
+
+    A call on one of rows, matched by identity (the cell's target rows and
+    test grid), is evaluated once; the kept values are read-only and bit for
+    bit the fit's own. Any other array is evaluated afresh.
+    """
+
+    rows: tuple = ()
+    values: dict = dataclasses.field(default_factory=dict)
+
+    def __call__(self, x: NDArray) -> NDArray[np.float64]:
+        k = next((k for k, r in enumerate(self.rows) if r is x), None)
+        if k is None:
+            return super().__call__(x)
+        if k not in self.values:
+            self.values[k] = v = super().__call__(x)
+            v.flags.writeable = False
+        return self.values[k]
+
+
+def _prepared(shared: dict, target: Dataset, sources, config: ExperimentConfig, cell_seed: int):
+    # SA's split, ranking and candidate set, whose pooled rung is the
+    # cell's all-sources pooled fit.
+    return _once(shared, "candidates", lambda: prepare_candidates(
+        target, sources, _sa_split_seed(cell_seed), config.schedules, config.kernel
+    ))
+
+
+def _pooled(shared: dict, target: Dataset, coll: SourceCollection, lam1: float, cfg: KernelConfig,
+            ranked=None):
     # The cell's pooled fit of one source set, called as fit_pooled is.
-    # Keyed by the set alone: every caller passes the cell's whole target.
-    return _once(
-        shared, ("pooled", coll.transferable), lambda: fit_pooled(target, coll, lam1, cfg)
-    )
+    # Keyed by the set and its row order: every caller passes the cell's
+    # whole target. Given the prepared candidate set `ranked`, the
+    # all-sources fit is its pooled rung; any other fit pools in index order.
+    top = ranked is not None and ranked.pooled is not None and len(coll.transferable) == ranked.m
+
+    def fit():
+        f = ranked.pooled if top else fit_pooled(target, coll, lam1, cfg)
+        return _Kept(f.anchors, f.coefficients, f.kernel, (target.x, shared.get("x_test")))
+
+    return _once(shared, ("pooled", coll.transferable, top), fit)
 
 
 def _fit_method(
@@ -297,10 +334,14 @@ def _fit_method(
     """Fit one method on one cell's data.
 
     `shared` holds the stages that methods of the same cell have in common,
-    so each is fitted once: the pooled fit, keyed by its source set
-    (AhTKRR_WD is AhTKRR's pooled step alone, and SA's refit of a candidate
-    reuses it: Pooled_TKRR's fit is SA's all-sources refit), and SA's split,
-    ranking and candidate set, which AEW aggregates differently.
+    so each is fitted once: SA's split, ranking and candidate set, which AEW
+    aggregates differently, and the pooled fits by source set, each keeping
+    its values at the target rows and the test grid _run_cell stores under
+    "x_test". AhTKRR_WD is AhTKRR's pooled step; both pool in index order.
+    Pooled_TKRR's fit, the same object as SA's refit of the all-sources
+    candidate, is the candidate ladder's top rung (see aggregate), unless
+    the cell has no sources or too small a target to split; then it pools
+    in index order, as SA's refit of any other set does.
     """
     shared = {} if shared is None else shared
     sched, cfg = config.schedules, config.kernel
@@ -309,24 +350,27 @@ def _fit_method(
         return fit_krr(target, lam0, cfg)
 
     if method in ("AhTKRR", "AhTKRR_WD", "Pooled_TKRR"):
-        idx = tuple(range(1, len(sources) + 1)) if method == "Pooled_TKRR" else transferable
+        idx, ranked = transferable, None
+        if method == "Pooled_TKRR":
+            idx = tuple(range(1, len(sources) + 1))
+            if sources and target.n >= 2:  # split_uniform's minimum
+                ranked = _prepared(shared, target, sources, config, cell_seed)[1]
         coll = SourceCollection(sources=sources, transferable=idx)
         lam1 = schedule_lambda_source(coll.n_transferable + target.n, sched)
+        pool = partial(_pooled, shared, ranked=ranked)
         if method == "AhTKRR_WD":
-            return _pooled(shared, target, coll, lam1, cfg)
+            return pool(target, coll, lam1, cfg)
         # Offset magnitude defaults to 1 when the transferable set is taken
         # as given rather than estimated.
         lam2 = schedule_lambda_debias(target.n, 1.0, sched)
-        return fit_ah_tkrr(target, coll, lam1, lam2, cfg, partial(_pooled, shared))
+        return fit_ah_tkrr(target, coll, lam1, lam2, cfg, pool)
 
     if method not in ("SA_TKRR", "AEW_TKRR"):
         raise ValueError(f"unknown method {method!r}")
-    split_seed = _sa_split_seed(cell_seed)
-    prepared = _once(
-        shared, "candidates", lambda: prepare_candidates(target, sources, split_seed, sched, cfg)
-    )
+    prepared = _prepared(shared, target, sources, config, cell_seed)
     if method == "SA_TKRR":
-        return sa_tkrr(target, sources, split_seed, sched, cfg, prepared, partial(_pooled, shared))
+        pool = partial(_pooled, shared, ranked=prepared[1])
+        return sa_tkrr(target, sources, _sa_split_seed(cell_seed), sched, cfg, prepared, pool)
     t2, cs = prepared
     temperature = max(2.0 * float(np.var(t2.y)), 1e-12)
     return aew_aggregate(cs.candidates, t2, temperature)
@@ -338,7 +382,7 @@ def _run_cell(config: ExperimentConfig, v_index: int, rep: int, studies=None) ->
         cell = build_cell(config, v_index, rep, studies)
         cell_seed, target, sources, transferable, x_test, reference = cell
         rows = []
-        shared: dict = {}
+        shared: dict = {"x_test": x_test}
         for method in config.methods:
             t0 = time.perf_counter()
             try:

@@ -195,6 +195,52 @@ class TestBuildCandidates:
         assert [n for n in orders if n > 12] == [12 + 6 + 9 + 7 + 5]
         assert orders.count(12) == 4
 
+    def test_whole_target_rung(self):
+        # Given T2 and sources, the ladder's top rung is the pooled fit of the
+        # whole target with every source: rows T1, the sources in rank order,
+        # then T2, at the source-rate ridge for all rows. It predicts as the
+        # index-order fit_pooled does, within fit_krr_nested's 1e-12 relative
+        # bound, and adds no candidate. Without T2 or sources there is none.
+        rng = np.random.default_rng(410)
+        target = _dataset(rng, 24)
+        sources = [_dataset(rng, n) for n in (6, 9, 7)]
+        t1, t2 = split_uniform(target, 3)
+        ranked = rank_contrasts(t1, sources, SCHED, CFG)
+        assert ranked.ranks.tolist() != [1, 2, 3]
+        f0 = fit_krr(t1, schedule_lambda_source(12, SCHED), CFG)
+        cs = build_candidates(t1, sources, ranked, SCHED, CFG, f0, t2)
+        assert len(cs.candidates) == 4
+        order = [t1] + [sources[k - 1] for k in cs.nested_sets[-1]] + [t2]
+        assert np.array_equal(cs.pooled.anchors, np.concatenate([d.x for d in order]))
+        coll = SourceCollection(sources=tuple(sources), transferable=(1, 2, 3))
+        own = fit_pooled(target, coll, schedule_lambda_source(24 + 22, SCHED), CFG)
+        x_test = rng.random((30, 1))
+        want = own(x_test)
+        assert np.max(np.abs(cs.pooled(x_test) - want)) <= 1e-12 * np.max(np.abs(want))
+        assert build_candidates(t1, sources, ranked, SCHED, CFG, f0).pooled is None
+        no_sources = rank_contrasts(t1, [], SCHED, CFG, f0)
+        assert build_candidates(t1, [], no_sources, SCHED, CFG, f0, t2).pooled is None
+
+    def test_fig6_whole_target_rung_matches_fit_pooled(self, monkeypatch):
+        # At fig6 sizes with m = 10 (n0 = 600, 13 sources of 300 rows) the
+        # ladder converges on every rung, the 4500-row top rung included:
+        # krr.fit_krr, which fit_krr_nested falls back to, is never called.
+        # The top rung predicts within 1e-12 relative of fit_pooled.
+        spec = SimSpec(example="ex2mod", s=0.25, m=10)
+        target, sources, _, _ = gen_scenario(spec, seed=derive_seed(20260815, 2, 0))
+        sched, cfg = LambdaSchedule(scale=0.1), KernelConfig(bandwidth=0.1)
+        fallbacks = []
+        real = krr.fit_krr
+        monkeypatch.setattr(krr, "fit_krr", lambda data, *a: fallbacks.append(data.n) or real(data, *a))
+        _, cs = prepare_candidates(target, sources, 0, sched, cfg)
+        assert fallbacks == []
+        assert cs.pooled.anchors.shape == (4500, 3)
+        coll = SourceCollection(sources=tuple(sources), transferable=tuple(range(1, 14)))
+        own = fit_pooled(target, coll, schedule_lambda_source(4500, sched), cfg)
+        x_test = np.random.default_rng(411).random((200, 3))
+        want = own(x_test)
+        assert np.max(np.abs(cs.pooled(x_test) - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_candidate_count_validation(self):
         with pytest.raises(ValueError):
             CandidateSet(

@@ -23,11 +23,16 @@ from tkrr.harness import (
     run_sweep,
     summarize,
 )
-from tkrr.kernels import KernelConfig, RepresenterFunction
-from tkrr.krr import LambdaSchedule, schedule_lambda_source
+from tkrr.kernels import Dataset, KernelConfig, RepresenterFunction
+from tkrr.krr import (
+    LambdaSchedule,
+    fit_krr_nested,
+    schedule_lambda_debias,
+    schedule_lambda_source,
+)
 from tkrr.rng import derive_seed
 from tkrr.synthetic import SimSpec, gen_scenario, scenario_to_csv
-from tkrr.transfer import SourceCollection, fit_pooled
+from tkrr.transfer import SourceCollection, fit_ah_tkrr, fit_pooled
 
 N_CASES = 100
 
@@ -174,12 +179,16 @@ class TestRunSweep:
         assert len(rows) == 2
 
     def test_pooled_uses_all_sources(self):
-        # on an unmodified design Pooled and AhTKRR with full A_h coincide
+        # On an unmodified design Pooled and AhTKRR with full A_h are the
+        # same estimator. AhTKRR pools in index order and Pooled_TKRR in
+        # T1-rank order (the candidate ladder's top rung), so their errors
+        # agree within fit_krr_nested's 1e-12 relative bound, not bit for bit.
         cfg = tiny_config(methods=("AhTKRR", "Pooled_TKRR"), sweep_values=(0.1,))
         rows = run_sweep(cfg, threads=1)
-        ah = [r.test_error for r in rows if r.method == "AhTKRR"]
-        pooled = [r.test_error for r in rows if r.method == "Pooled_TKRR"]
-        assert ah == pooled
+        ah = np.array([r.test_error for r in rows if r.method == "AhTKRR"])
+        pooled = np.array([r.test_error for r in rows if r.method == "Pooled_TKRR"])
+        assert ah.shape == pooled.shape == (2,)
+        assert np.all(np.abs(pooled - ah) <= 1e-12 * ah)
 
 
 def _errors_by_method(cfg, methods):
@@ -246,13 +255,14 @@ class TestSharedStages:
             methods=METHODS, sweep_values=(0.1,), replications=1, fixed=(("a_h", 2),)
         )
         run_sweep(cfg, threads=1)
-        # One candidate set. One pooled fit per source set the cell needs:
-        # A_h = (1, 2), all sources, and each set SA refits with weight > 0.
+        # One candidate set, whose top rung is the all-sources pooled fit.
+        # One index-order pooled fit per other source set the cell needs:
+        # A_h = (1, 2), and each partial set SA refits with weight > 0.
         assert len(prepared) == 1
         (_, cs), (agg,) = prepared[0], chosen
         weighted = ((agg.idx_a, agg.weight), (agg.idx_b, 1.0 - agg.weight))
-        needed = {(1, 2), (1, 2, 3)} | {
-            tuple(sorted(cs.nested_sets[i])) for i, w in weighted if i > 0 and w != 0.0
+        needed = {(1, 2)} | {
+            tuple(sorted(cs.nested_sets[i])) for i, w in weighted if 0 < i < cs.m and w != 0.0
         }
         assert sorted(pooled_sets) == sorted(needed)
 
@@ -274,11 +284,53 @@ class TestSharedStages:
         }
         pooled = fit["Pooled_TKRR"].parts[0]
         assert fit["SA_TKRR"].candidates[m].parts[0] is pooled
+        # It is the top rung of SA's candidate ladder: a standalone ladder on
+        # T1, the sources in T1-rank order, then T2 gives it bit for bit.
+        t1, t2 = aggregate.split_uniform(target, harness._sa_split_seed(cell_seed))
+        cs = shared["candidates"][1]
+        rows = [t1] + [sources[k - 1] for k in cs.nested_sets[-1]] + [t2]
+        data = Dataset(np.concatenate([d.x for d in rows]), np.concatenate([d.y for d in rows]))
+        sizes = list(t1.n + np.cumsum([d.n for d in rows[1:-1]])) + [data.n]
+        lam = [schedule_lambda_source(int(n), cfg.schedules) for n in sizes]
+        top = fit_krr_nested(data, sizes, lam, cfg.kernel)[-1]
+        assert np.array_equal(pooled.coefficients, top.coefficients)
+        assert np.array_equal(pooled.anchors, top.anchors)
+        # And it predicts as the index-order pooled fit does, within
+        # fit_krr_nested's 1e-12 relative bound.
         coll = SourceCollection(sources=sources, transferable=tuple(range(1, m + 1)))
-        lam1 = schedule_lambda_source(coll.n_transferable + target.n, cfg.schedules)
-        own = fit_pooled(target, coll, lam1, cfg.kernel)
-        assert np.array_equal(pooled.coefficients, own.coefficients)
-        assert np.array_equal(pooled.anchors, own.anchors)
+        own = fit_pooled(target, coll, lam[-1], cfg.kernel)
+        x_test = np.linspace(0.0, 1.0, 50)[:, None]
+        want = own(x_test)
+        assert np.max(np.abs(pooled(x_test) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_shared_pooled_values_are_kept_per_array(self, monkeypatch):
+        # A shared pooled fit is evaluated once on the cell's target rows
+        # (by AhTKRR's debias step) and once on its test grid; the kept
+        # values are read-only and bit for bit a fresh evaluation. Any other
+        # array is evaluated afresh.
+        cfg = tiny_config(fixed=(("a_h", 2),))
+        cell_seed, target, sources, transferable, x_test, _ = harness.build_cell(cfg, 0, 0)
+        shared = {"x_test": x_test}
+        fit = [
+            harness._fit_method(m, target, sources, transferable, cfg, cell_seed, shared)
+            for m in ("AhTKRR", "AhTKRR_WD")
+        ]
+        pooled = fit[1]
+        assert pooled is fit[0].parts[0]
+        plain = RepresenterFunction(pooled.anchors, pooled.coefficients, pooled.kernel)
+        want = {id(x): plain(x) for x in (target.x, x_test)}
+        evaluated = []
+        real = RepresenterFunction.__call__
+        monkeypatch.setattr(
+            RepresenterFunction, "__call__", lambda f, x: evaluated.append(len(x)) or real(f, x)
+        )
+        for x in (target.x, x_test, x_test):
+            kept = pooled(x)
+            assert pooled(x) is kept and not kept.flags.writeable
+            assert np.array_equal(kept, want[id(x)])
+        assert evaluated == [len(x_test)]
+        pooled(x_test.copy())
+        assert evaluated == [len(x_test)] * 2
 
     def test_no_debias_row_is_the_pooled_fit(self):
         cfg = tiny_config(fixed=(("a_h", 2),))
@@ -294,6 +346,26 @@ class TestSharedStages:
         lam1 = schedule_lambda_source(coll.n_transferable + target.n, cfg.schedules)
         own = fit_pooled(target, coll, lam1, cfg.kernel)
         assert np.array_equal(alone(x_test), own(x_test))
+
+
+class TestPooledFallback:
+    @pytest.mark.parametrize("size", [{"n0": 1}, {"m": 0}])
+    def test_index_order_where_sa_split_cannot_run(self, size):
+        # A 1-row target cannot be split, and a cell with no sources has no
+        # ladder: there Pooled_TKRR pools in index order with fit_pooled, as
+        # before the ladder served it, and no fit fails.
+        spec = dataclasses.replace(tiny_config().scenario, **size)
+        cfg = tiny_config(scenario=spec, methods=("Pooled_TKRR",))
+        rows = run_sweep(cfg, threads=1)
+        assert len(rows) == 4
+        for r in rows:
+            vi = cfg.sweep_values.index(r.sweep_value)
+            _, target, sources, _, x_test, reference = harness.build_cell(cfg, vi, r.replication)
+            coll = SourceCollection(sources=sources, transferable=tuple(range(1, len(sources) + 1)))
+            lam1 = schedule_lambda_source(coll.n_transferable + target.n, cfg.schedules)
+            lam2 = schedule_lambda_debias(target.n, 1.0, cfg.schedules)
+            want = fit_ah_tkrr(target, coll, lam1, lam2, cfg.kernel, fit_pooled)
+            assert r.test_error == prediction_error(want, x_test, reference)
 
 
 class TestRealDataSweep:

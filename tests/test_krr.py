@@ -12,6 +12,7 @@ from tkrr.krr import (
     schedule_lambda_debias,
     schedule_lambda_source,
 )
+from tkrr.synthetic import SimSpec, gen_scenario
 
 N_CASES = 100
 
@@ -262,6 +263,28 @@ class TestFitKrrNested:
         case = _nested_case(rng, 2, sizes, ridges)
         assert calls == [50, 120]
         _assert_rungs_match(*case[:3], sizes, ridges, case[3])
+
+
+    def test_fig6_ladder_with_whole_target_rung_converges(self, monkeypatch):
+        # SA's ladder at fig6 sizes with m = 10 (n0 = 600, 13 sources of 300
+        # rows): T1, the sources, then T2, with rungs at T1 plus each source
+        # count and one whole-target rung of 4500 rows. Every rung meets the
+        # CG tolerance, so there is no fallback fit_krr call, and the top
+        # rung is fit_krr on all rows within the 1e-12 relative bound.
+        spec = SimSpec(example="ex2mod", s=0.25, m=10)
+        target, sources, _, _ = gen_scenario(spec, seed=20260815)
+        t1, t2 = target.split(300, 0)
+        rows = [t1, *sources, t2]
+        ds = Dataset(np.concatenate([d.x for d in rows]), np.concatenate([d.y for d in rows]))
+        sizes = [300 + 300 * k for k in range(1, 14)] + [4500]
+        sched, cfg = LambdaSchedule(scale=0.1), KernelConfig(bandwidth=0.1)
+        ridges = [schedule_lambda_source(n, sched) for n in sizes]
+        calls = _spy_fit_krr(monkeypatch)
+        fits = fit_krr_nested(ds, sizes, ridges, cfg)
+        assert calls == []
+        x_test = np.random.default_rng(224).random((100, 3))
+        want = fit_krr(ds, ridges[-1], cfg)(x_test)
+        assert np.max(np.abs(fits[-1](x_test) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSchedules:
