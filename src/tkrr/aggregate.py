@@ -7,11 +7,14 @@ and one two-step fit per set. Their pooled steps, and the whole-target
 all-sources pooled fit, are rungs of one nested ladder whose rows are the
 first half, the sources in rank order, then the second half
 (prepare_candidates runs these stages once, so SA, exponential weighting
-and the all-sources pooled method can share them). On the second half a
-hyper-sparse aggregation picks a convex pair of candidates: an
-empirical-risk winner on one sub-half, a margin rule that keeps
-near-winners, and a closed-form mixing weight fitted on the other
-sub-half. SA then refits the chosen pair on the whole target, pooling in
+and the all-sources pooled method can share them). The candidates are
+evaluated on both halves as one batch: a Gram per half times the stacked
+coefficients, so each candidate's predictions on the second half are
+computed once. On the second half a hyper-sparse aggregation picks a
+convex pair of candidates: an empirical-risk winner on one sub-half, a
+margin rule that keeps near-winners, and a closed-form mixing weight
+fitted on the other sub-half, each sub-half a row slice of those
+predictions. SA then refits the chosen pair on the whole target, pooling in
 index order. The rule has no settings: the margin is that of Gaiffas &
 Lecue 2011 with constant 1. Exponential weighting over the same candidates
 is provided as a softer alternative.
@@ -37,7 +40,10 @@ from .kernels import (
     RepresenterFunction,
     TooFewRowsError,
     WeightedSum,
+    _gemm,
+    gram_matrix,
     rkhs_norm_diff,
+    rkhs_norm_sq,
 )
 from .krr import (
     LambdaSchedule,
@@ -46,7 +52,7 @@ from .krr import (
     schedule_lambda_debias,
     schedule_lambda_source,
 )
-from .transfer import SourceCollection, _pooled_dataset, fit_ah_tkrr
+from .transfer import SourceCollection, _pooled_dataset, fit_ah_tkrr, fit_debias
 
 __all__ = [
     "CandidateSet",
@@ -76,13 +82,17 @@ class CandidateSet:
     ranking-only result. pooled is the ladder's top rung, the pooled fit of
     the whole target with every source, its rows T1, the sources in rank
     order, then T2; it is None on a ranking-only result, with no sources,
-    or when the candidates were built without T2.
+    or when the candidates were built without T2. values holds the
+    candidates' predictions at T2's rows, row l for candidate l, computed as
+    one batch and within 1e-12 relative of candidates[l](T2.x); it is None
+    unless the candidates were built with T2.
     """
 
     contrast_norms: NDArray[np.float64]
     ranks: NDArray[np.int64]
     candidates: tuple = ()
     pooled: RepresenterFunction | None = None
+    values: NDArray[np.float64] | None = None
 
     def __post_init__(self) -> None:
         norms = np.asarray(self.contrast_norms, dtype=np.float64)
@@ -164,9 +174,10 @@ def rank_contrasts(
     lam0 = schedule_lambda_source(t1.n, schedules)
     f0 = fit_krr(t1, lam0, cfg) if target_fit is None else target_fit
     norms = np.empty(len(sources))
+    f0_sq = rkhs_norm_sq(f0) if sources else None
     for j, src in enumerate(sources):
         fk = fit_krr(src, schedule_lambda_source(src.n, schedules), cfg)
-        norms[j] = rkhs_norm_diff(fk, f0)
+        norms[j] = rkhs_norm_diff(fk, f0, f0_sq)
     order = np.argsort(norms, kind="stable")
     ranks = np.empty(len(sources), dtype=np.int64)
     ranks[order] = np.arange(1, len(sources) + 1)
@@ -190,9 +201,15 @@ def _fit_candidate(
     subset = tuple(sorted(ranked.nested_sets[level]))
     coll = SourceCollection(sources=tuple(sources), transferable=subset)
     lam1 = schedule_lambda_source(coll.n_transferable + target.n, schedules)
-    h = float(max(ranked.contrast_norms[k - 1] for k in subset))
-    lam2 = schedule_lambda_debias(target.n, h, schedules)
+    lam2 = _debias_ridge(level, target.n, ranked, schedules)
     return fit_ah_tkrr(target, coll, lam1, lam2, cfg, pool)
+
+
+def _debias_ridge(level: int, n_target: int, ranked: CandidateSet, schedules: LambdaSchedule) -> float:
+    # The debias ridge of candidate `level`, at the plug-in offset: the
+    # largest contrast within its set.
+    h = float(max(ranked.contrast_norms[k - 1] for k in ranked.nested_sets[level]))
+    return schedule_lambda_debias(n_target, h, schedules)
 
 
 def build_candidates(
@@ -206,30 +223,54 @@ def build_candidates(
 ) -> CandidateSet:
     """Fit the m+1 candidate models induced by a ranking.
 
-    Candidate 0 is target_fit, the target-only KRR fit on t1; candidate l
-    pools t1 with the l lowest-contrast sources and runs the two-step fit,
-    the debias ridge using the plug-in offset max contrast within the set.
-    The pooled steps are the rungs of one krr.fit_krr_nested ladder on t1
-    followed by the sources in rank order. Given t2, the rest of the
-    target, and at least one source, the ladder gets one more rung with t2's
-    rows last: the whole-target all-sources pooled fit, at the source-rate
-    ridge for all its rows, returned as the set's pooled field.
+    Candidate 0 is target_fit, the target-only KRR fit with t1's rows as its
+    anchors; candidate l pools t1 with the l lowest-contrast sources and
+    runs the two-step fit, the debias ridge using the plug-in offset max
+    contrast within the set. The pooled steps are the rungs of one
+    krr.fit_krr_nested ladder on t1 followed by the sources in rank order.
+    Given t2, the rest of the target, and at least one source, the ladder
+    gets one more rung with t2's rows last: the whole-target all-sources
+    pooled fit, at the source-rate ridge for all its rows, returned as the
+    set's pooled field.
+
+    The candidates are evaluated as a batch. One Gram of t1 against the top
+    candidate's rows, times the zero-padded pooled coefficients in one
+    dgemm, gives every pooled step at t1, from which the debias steps fit
+    their residuals. Given t2, the same product at t2, plus one Gram of t2
+    against t1 times candidate 0's and the debias coefficients, gives every
+    candidate's values at t2 (pooled + debias, the sum WeightedSum forms),
+    the set's values field.
     """
+    m = ranked.m
     ranked_all = SourceCollection(tuple(sources), ranked.nested_sets[-1])
     data = _pooled_dataset(t1, ranked_all)
     sizes = list(t1.n + np.cumsum([sources[k - 1].n for k in ranked_all.transferable], dtype=int))
-    whole = t2 is not None and bool(sizes)
+    whole = t2 is not None and m > 0
     if whole:
         data = Dataset(np.concatenate([data.x, t2.x]), np.concatenate([data.y, t2.y]))
         sizes.append(data.n)
     lam1 = [schedule_lambda_source(int(n), schedules) for n in sizes]
     ladder = fit_krr_nested(data, sizes, lam1, cfg)
+    debias, values = [], None
+    if m:
+        anchors, coef = data.x[: sizes[m - 1]], np.zeros((m, sizes[m - 1]))
+        for row, f in zip(coef, ladder):
+            row[: f.coefficients.shape[0]] = f.coefficients
+        at_t1 = _gemm(gram_matrix(cfg, t1.x, anchors), coef)
+        debias = [
+            fit_debias(t1, f, _debias_ridge(level, t1.n, ranked, schedules), cfg, at)
+            for level, (f, at) in enumerate(zip(ladder, at_t1), start=1)
+        ]
+    if t2 is not None:
+        t1_coef = np.array([target_fit.coefficients] + [g.coefficients for g in debias])
+        values = _gemm(gram_matrix(cfg, t2.x, t1.x), t1_coef)
+        if m:
+            values[1:] += _gemm(gram_matrix(cfg, t2.x, anchors), coef)
     candidates = (target_fit,) + tuple(
-        _fit_candidate(level, t1, sources, ranked, schedules, cfg, lambda *_, f=pooled: f)
-        for level, pooled in enumerate(ladder[: ranked.m], start=1)
+        WeightedSum((f, g), (1.0, 1.0)) for f, g in zip(ladder, debias)
     )
     return dataclasses.replace(
-        ranked, candidates=candidates, pooled=ladder[-1] if whole else None
+        ranked, candidates=candidates, pooled=ladder[-1] if whole else None, values=values
     )
 
 
@@ -260,7 +301,7 @@ def empirical_risk(model, data: Dataset) -> float:
 
 
 def hyper_sparse_aggregate(
-    candidates: Sequence, t2: Dataset, split_seed: int
+    candidates: Sequence, t2: Dataset, split_seed: int, values: NDArray
 ) -> AggregateModel:
     """Pick a convex pair of candidates on held-out data.
 
@@ -272,12 +313,16 @@ def hyper_sparse_aggregate(
     survivor pair gets the closed-form least squares mixing weight clamped
     to [0, 1] (weight 1 when the pair's predictions coincide), and the pair
     with the smallest risk wins; earlier pairs win ties. A singleton
-    survivor set returns the winner with weight 1.
+    survivor set returns the winner with weight 1. values holds the
+    candidates' predictions at t2's rows, row l for candidate l
+    (CandidateSet.values). The sub-halves are split_uniform's halves of
+    those columns paired with t2's responses, so they are t2's own halves'
+    rows, and no candidate is evaluated here.
     """
     if not candidates:
         raise ValueError("need at least one candidate")
-    t21, t22 = split_uniform(t2, split_seed)
-    preds21 = [f(t21.x) for f in candidates]
+    t21, t22 = split_uniform(Dataset(values.T, t2.y), split_seed)
+    preds21, preds22 = t21.x.T.copy(), t22.x.T.copy()
     risks21 = np.array([float(np.mean((t21.y - p) ** 2)) for p in preds21])
     best = int(np.argmin(risks21))
     phi = math.sqrt(math.log(len(candidates) + 1) / t21.n)
@@ -291,7 +336,6 @@ def hyper_sparse_aggregate(
         return AggregateModel(
             idx_a=only, idx_b=only, weight=1.0, candidates=tuple(candidates)
         )
-    preds22 = {l: candidates[l](t22.x) for l in survivors}
     best_pair = None
     best_risk = math.inf
     for ia, a in enumerate(survivors):
@@ -341,7 +385,7 @@ def sa_tkrr(
     if target.n < 4:
         raise TooFewRowsError(f"need at least 4 target rows, got {target.n}")
     t2, cs = prepared or prepare_candidates(target, sources, split_seed, schedules, cfg)
-    agg = hyper_sparse_aggregate(cs.candidates, t2, split_seed)
+    agg = hyper_sparse_aggregate(cs.candidates, t2, split_seed, cs.values)
     refit = list(agg.candidates)
     for idx, w in ((agg.idx_a, agg.weight), (agg.idx_b, 1.0 - agg.weight)):
         if w != 0.0:
@@ -349,13 +393,19 @@ def sa_tkrr(
     return dataclasses.replace(agg, candidates=tuple(refit))
 
 
-def aew_aggregate(candidates: Sequence, t2: Dataset, temperature: float) -> WeightedSum:
-    """Exponential weights w_l proportional to exp(-n * risk_l / temperature)."""
+def aew_aggregate(
+    candidates: Sequence, t2: Dataset, temperature: float, values: NDArray
+) -> WeightedSum:
+    """Exponential weights w_l proportional to exp(-n * risk_l / temperature).
+
+    values holds the candidates' predictions at t2's rows, as in
+    hyper_sparse_aggregate.
+    """
     if not candidates:
         raise ValueError("need at least one candidate")
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    risks = np.array([empirical_risk(f, t2) for f in candidates])
+    risks = np.array([float(np.mean((t2.y - p) ** 2)) for p in values])
     logits = -t2.n * risks / temperature
     logits -= logits.max()
     w = np.exp(logits)

@@ -63,7 +63,7 @@ def _cmd_simulate(args) -> int:
     n_failed = sum(s.n_failed for s in summary_rows)
     print(f"wrote {results} ({len(rows)} rows) and {summary}")
     if n_failed:
-        print(f"warning: {n_failed} cells failed to fit and were excluded from summary")
+        print(f"warning: {n_failed} fits failed and were excluded from summary")
     return 0
 
 
@@ -75,9 +75,9 @@ def _cmd_fit(args) -> int:
     model = harness._fit_method(
         args.method, target, sources, transferable, config, cell_seed
     )
-    err = harness.prediction_error(model, x_test, reference)
+    pred = model(x_test)  # evaluated once: the error is that of the predictions written
+    err = harness.prediction_error(lambda _: pred, x_test, reference)
     out = Path(args.out or Path(config.output_dir) / "predictions.csv")
-    pred = model(x_test)
     write_csv(out, ["prediction", "reference"], list(zip(pred, reference)))
     print(f"{args.method}: test_error={err!r} n_test={len(pred)} -> {out}")
     return 0

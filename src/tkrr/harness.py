@@ -373,7 +373,7 @@ def _fit_method(
         return sa_tkrr(target, sources, _sa_split_seed(cell_seed), sched, cfg, prepared, pool)
     t2, cs = prepared
     temperature = max(2.0 * float(np.var(t2.y)), 1e-12)
-    return aew_aggregate(cs.candidates, t2, temperature)
+    return aew_aggregate(cs.candidates, t2, temperature, cs.values)
 
 
 def _run_cell(config: ExperimentConfig, v_index: int, rep: int, studies=None) -> list[ResultRow]:

@@ -11,13 +11,13 @@ Cholesky. Gram blocks and kernel matrix-vector products run in SciPy's BLAS
 too, the OpenBLAS that factors: a block's squared distances are
 ||a||^2 + ||b||^2 - 2 a.b over centred rows, the cross term one dgemm.
 
-The five routines called here (dgemm, dgemv, ddot, dpftrf, dpftrs) are
-SciPy's f2py wrappers, the very objects scipy.linalg.blas and
-scipy.linalg.lapack re-export, loaded straight from the extension modules
-scipy.linalg._fblas and scipy.linalg._flapack. Importing the scipy.linalg
-package instead would run its __init__, whose array-API layer loads
-numpy.f2py, numpy.testing and numpy.ma: about 0.3 s and 16 MB in every
-process, pool workers included.
+The six routines tkrr calls (dgemm, dgemv, ddot, dpftrf and dpftrs here,
+and dtfsm, which krr calls through this module's lapack) are SciPy's f2py
+wrappers, the very objects scipy.linalg.blas and scipy.linalg.lapack
+re-export, loaded straight from the extension modules scipy.linalg._fblas
+and scipy.linalg._flapack. Importing the scipy.linalg package instead would
+run its __init__, whose array-API layer loads numpy.f2py, numpy.testing and
+numpy.ma: about 0.3 s and 16 MB in every process, pool workers included.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "gram_matrix",
     "ridge_system",
     "spd_solve",
+    "rkhs_norm_sq",
     "rkhs_norm_diff",
 ]
 
@@ -252,6 +253,13 @@ def _gemv(k: NDArray, v: NDArray, left: bool = False) -> NDArray[np.float64]:
     return blas.dgemv(1.0, k.T, v, trans=0 if left else 1)
 
 
+def _gemm(k: NDArray, c: NDArray) -> NDArray[np.float64]:
+    # c @ k.T for C-ordered k (rows x anchors) and c (expansions x anchors),
+    # C-ordered: row i holds expansion i's values at k's rows. One SciPy
+    # dgemm on F-ordered views, as in _gemv, so nothing is copied.
+    return blas.dgemm(1.0, k.T, c.T, trans_a=1).T
+
+
 def gram_matrix(cfg: KernelConfig, x: NDArray, x2: NDArray | None = None) -> NDArray[np.float64]:
     """Assemble the kernel matrix K[i, j] = K(x_i, x2_j).
 
@@ -388,13 +396,22 @@ def spd_solve(system: NDArray, b: NDArray, refill=None) -> NDArray[np.float64]:
     return z.reshape(bv.shape)
 
 
-def rkhs_norm_diff(f: RepresenterFunction, g: RepresenterFunction) -> float:
+def rkhs_norm_sq(f: RepresenterFunction) -> float:
+    """Squared RKHS norm b' K b of a representer-form function, evaluated as (b' K) b."""
+    b = f.coefficients
+    return float(_gemv(gram_matrix(f.kernel, f.anchors), b, left=True) @ b)
+
+
+def rkhs_norm_diff(
+    f: RepresenterFunction, g: RepresenterFunction, g_sq: float | None = None
+) -> float:
     """RKHS norm ||f - g||_K of two representer-form functions.
 
     Expands to the Gram quadratic form
     b_f' K_ff b_f - 2 b_f' K_fg b_g + b_g' K_gg b_g, clamped at zero before
     the square root since roundoff can leave a tiny negative residue. Each
-    term is evaluated as (b' K) b.
+    term is evaluated as (b' K) b. g_sq, if given, is rkhs_norm_sq(g), so a
+    caller comparing many functions with one g assembles K_gg once.
     """
     if f.kernel != g.kernel:
         raise ValueError(f"kernel configs differ: {f.kernel} vs {g.kernel}")
@@ -404,8 +421,8 @@ def rkhs_norm_diff(f: RepresenterFunction, g: RepresenterFunction) -> float:
         )
     bf, bg = f.coefficients, g.coefficients
     q = (
-        _gemv(gram_matrix(f.kernel, f.anchors), bf, left=True) @ bf
-        - 2.0 * (_gemv(gram_matrix(f.kernel, f.anchors, g.anchors), bf, left=True) @ bg)
-        + _gemv(gram_matrix(g.kernel, g.anchors), bg, left=True) @ bg
+        rkhs_norm_sq(f)
+        - 2.0 * float(_gemv(gram_matrix(f.kernel, f.anchors, g.anchors), bf, left=True) @ bg)
+        + (rkhs_norm_sq(g) if g_sq is None else g_sq)
     )
     return float(np.sqrt(max(q, 0.0)))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .kernels import (
     Dataset,
@@ -31,6 +32,7 @@ __all__ = [
     "LambdaSchedule",
     "fit_krr",
     "fit_krr_nested",
+    "plan_direct",
     "schedule_lambda_source",
     "schedule_lambda_debias",
 ]
@@ -77,13 +79,57 @@ def fit_krr(data: Dataset, ridge: float, cfg: KernelConfig) -> RepresenterFuncti
     return RepresenterFunction(anchors=data.x, coefficients=beta, kernel=cfg)
 
 
+def _cg_steps(shifts: NDArray) -> NDArray[np.float64]:
+    # CG steps per rung on a factor at c = sqrt(min s * max s), as plan_direct
+    # models them.
+    c = np.sqrt(shifts.min() * shifts.max())
+    root = np.sqrt(np.maximum(c / shifts, shifts / c))
+    return root / 2.0 * np.log(2.0 * root / _CG_TOL)
+
+
+def plan_direct(sizes, shifts) -> NDArray[np.bool_]:
+    """Which rungs fit_krr_nested fits with fit_krr on their own rows, not by CG.
+
+    The j smallest rungs (ties in rung order) go direct, for the j that
+    minimises an empirical cost proxy: sizes[k]^3 / 3 per direct rung, plus
+    2 N^2 per CG step of each other rung on the factor of order N = max
+    sizes. Rung k takes sqrt(kappa_k)/2 * log(2 sqrt(kappa_k) / _CG_TOL)
+    steps, where kappa_k = max(c / s_k, s_k / c) and c = sqrt(min s * max s)
+    over the CG rungs, so dropping the smallest shifts brings c and the
+    steps down. A rung of N rows never goes direct, since the factor is its
+    own; ties go to fewer direct rungs.
+
+    The CG term is not the time _ladder spends. It counts each rung's steps
+    as a solve of its own, but _ladder advances every active rung in one
+    memory-bound pass over the factor per step, so the term overstates that
+    time by about the number of rungs, and it is weighed against the
+    compute-bound flops of the direct factors. Its picks were timed only on
+    two ladder shapes, SA's at unknown-ex2mod and at fig6's m = 10 sizes
+    (README, "The candidate ladder"), where they land in the fastest range;
+    a count of passes (most steps times 2 N^2) picks one rung or none there,
+    which timed slower. Picks for other shapes are unverified.
+    """
+    sizes, shifts = np.asarray(sizes, dtype=int).ravel(), np.asarray(shifts, dtype=float).ravel()
+    best, direct = np.inf, np.zeros(sizes.shape, dtype=bool)
+    if not sizes.size:
+        return direct
+    order, n = np.argsort(sizes, kind="stable"), float(sizes.max())
+    for j in range(np.count_nonzero(sizes < n) + 1):
+        d = np.zeros(sizes.shape, dtype=bool)
+        d[order[:j]] = True
+        flops = (sizes[d] ** 3.0).sum() / 3.0 + 2.0 * n * n * _cg_steps(shifts[~d]).sum()
+        if flops < best:
+            best, direct = flops, d
+    return direct
+
+
 def _ladder(cfg: KernelConfig, x, y, sizes, shifts):
     # Rows beta_k, zero past sizes[k], and which rungs met the tolerance.
     c = np.sqrt(shifts.min() * shifts.max())
     try:
         cho_factor(factor := ridge_system(cfg, x, c))
     except np.linalg.LinAlgError:
-        return None, np.zeros(len(sizes), dtype=bool)
+        return (), np.zeros(len(sizes), dtype=bool)
     flat, past = factor.reshape(-1, order="F"), np.arange(len(y)) >= sizes[:, None]
 
     def solve(v, rungs):  # v[i] times M_k^-1 for k = rungs[i], in place:
@@ -109,20 +155,24 @@ def _ladder(cfg: KernelConfig, x, y, sizes, shifts):
 def fit_krr_nested(data: Dataset, sizes, ridges, cfg: KernelConfig) -> tuple:
     """Fit k is KRR on the first sizes[k] rows of data at ridge ridges[k].
 
-    For shifts s_k = sizes[k] * ridges[k] and c = sqrt(min s * max s), one
+    The rungs plan_direct picks for shifts s_k = sizes[k] * ridges[k] are
+    fit_krr itself. For the others and c = sqrt(min s * max s) over them, one
     Cholesky factor of K + c I holds each M_k = K_k + c I as a leading block.
     Rung k runs CG on (I - (c - s_k) M_k^-1) w = y_k, a spectrum in [1/kappa,
     kappa] for kappa = sqrt(max s / min s), and beta_k = M_k^-1 w. A rung
     short of the tolerance at the cap, or all if the factorization fails, is
-    fit_krr itself. Memory: the largest rung's packed system, rungs x n arrays.
+    fit_krr too. Direct and fallback fits run after the factor is freed.
+    Memory: the largest rung's packed system, rungs x n arrays.
     """
     sizes, ridges = np.asarray(sizes, dtype=int).ravel(), np.asarray(ridges, dtype=float).ravel()
     if ridges.shape != sizes.shape or not all(r > 0 and 1 <= k <= data.n for k, r in zip(sizes, ridges)):
         raise ValueError(f"need positive ridges for sizes in 1..{data.n}: {sizes}, {ridges}")
+    cg = np.flatnonzero(~plan_direct(sizes, sizes * ridges))
     n = sizes.max(initial=0)
-    beta, done = _ladder(cfg, data.x[:n], data.y[:n], sizes, sizes * ridges) if n else (None, ())
+    beta, done = _ladder(cfg, data.x[:n], data.y[:n], sizes[cg], (sizes * ridges)[cg]) if n else ((), ())
+    solved = {int(i): b for i, b, ok in zip(cg, beta, done) if ok}
     return tuple(
-        RepresenterFunction(data.x[:k], beta[i, :k], cfg) if done[i]
+        RepresenterFunction(data.x[:k], solved[i][:k], cfg) if i in solved
         else fit_krr(Dataset(data.x[:k], data.y[:k]), float(r), cfg)
         for i, (k, r) in enumerate(zip(sizes, ridges))
     )

@@ -77,10 +77,10 @@ def fit_pooled(
 
 
 def fit_debias(
-    target: Dataset, pooled: RepresenterFunction, lambda2: float, cfg: KernelConfig
+    target: Dataset, pooled: RepresenterFunction, lambda2: float, cfg: KernelConfig, at=None
 ) -> RepresenterFunction:
-    """Fit KRR on the target residuals y - pooled(x)."""
-    w = target.y - pooled(target.x)
+    """Fit KRR on the target residuals y - pooled(x); at, if given, is pooled(target.x)."""
+    w = target.y - (pooled(target.x) if at is None else at)
     return fit_krr(Dataset(x=target.x, y=w), lambda2, cfg)
 
 

@@ -119,7 +119,7 @@ class TestCriterion1:
                 funcs.append(lambda x, a=a, b=b, w=w: a * np.sin(w * np.asarray(x)[:, 0]) + b)
             y = funcs[0](x) + rng.normal(0, 0.5, n)
             t2 = Dataset(x=x, y=y)
-            agg = hyper_sparse_aggregate(funcs, t2, case)
+            agg = hyper_sparse_aggregate(funcs, t2, case, np.array([f(t2.x) for f in funcs]))
             _, t22 = split_uniform(t2, case)
             fa = agg.candidates[agg.idx_a](t22.x)
             fb = agg.candidates[agg.idx_b](t22.x)

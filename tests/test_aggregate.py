@@ -133,6 +133,30 @@ class TestRankContrasts:
         ranked = rank_contrasts(_dataset(rng, 5), [], SCHED, CFG)
         assert (ranked.m, ranked.nested_sets, ranked.candidates) == (0, ((),), ())
 
+    def test_target_gram_is_built_once(self, monkeypatch):
+        # The target-only fit's K(T1, T1) term is assembled once per ranking,
+        # not once per source, and the contrasts are bit for bit the
+        # per-source rkhs_norm_diff(source fit, target fit).
+        rng = np.random.default_rng(427)
+        t1 = _dataset(rng, 15, d=2)
+        sources = [_dataset(rng, n, d=2) for n in (9, 11, 8, 13)]
+        f0 = fit_krr(t1, schedule_lambda_source(15, SCHED), CFG)
+        square = []
+        real = kernels.gram_matrix
+
+        def spy(cfg, x, x2=None):
+            if x2 is None and np.array_equal(x, t1.x):
+                square.append(1)
+            return real(cfg, x, x2)
+
+        monkeypatch.setattr(kernels, "gram_matrix", spy)
+        ranked = rank_contrasts(t1, sources, SCHED, CFG, f0)
+        assert len(square) == 1
+        monkeypatch.setattr(kernels, "gram_matrix", real)
+        for src, norm in zip(sources, ranked.contrast_norms):
+            fk = fit_krr(src, schedule_lambda_source(src.n, SCHED), CFG)
+            assert norm == kernels.rkhs_norm_diff(fk, f0)
+
 
 class TestBuildCandidates:
     def test_structure_and_ridges(self):
@@ -140,8 +164,11 @@ class TestBuildCandidates:
         # in rank order. Ridges are checked by refitting each pooled step at
         # its schedule value with fit_krr on the same rows, and pooled
         # predictions against fit_pooled's index-order fit, both within
-        # fit_krr_nested's 1e-12 relative bound; the debias step, fitted on
-        # the same pooled object, must match bit for bit.
+        # fit_krr_nested's 1e-12 relative bound. The debias step is bit for
+        # bit fit_debias on the same pooled object at the batched pooled
+        # values at T1 (one Gram of T1 against the top rung's rows times the
+        # zero-padded pooled coefficients), and predicts as fit_debias on
+        # that object's own values at T1 does, within the same bound.
         rng = np.random.default_rng(407)
         t1 = _dataset(rng, 12)
         sources = [_dataset(rng, n) for n in (6, 9, 7)]
@@ -155,6 +182,12 @@ class TestBuildCandidates:
 
         def close(got, want):
             return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        anchors = cs.candidates[-1].parts[0].anchors
+        coef = np.zeros((3, anchors.shape[0]))
+        for row, model in zip(coef, cs.candidates[1:]):
+            row[: model.parts[0].coefficients.shape[0]] = model.parts[0].coefficients
+        at_t1 = kernels._gemm(kernels.gram_matrix(CFG, t1.x, anchors), coef)
 
         for level, model in enumerate(cs.candidates[1:], start=1):
             assert isinstance(model, WeightedSum)
@@ -171,12 +204,16 @@ class TestBuildCandidates:
             assert close(pooled(x_test), fit_pooled(t1, coll, lam1, CFG)(x_test))
             h = max(cs.contrast_norms[k - 1] for k in subset)
             lam2 = schedule_lambda_debias(12, h, SCHED)
-            want = fit_debias(t1, pooled, lam2, CFG)
-            assert np.array_equal(debias.coefficients, want.coefficients)
+            batched = fit_debias(t1, pooled, lam2, CFG, at_t1[level - 1])
+            assert np.array_equal(debias.coefficients, batched.coefficients)
+            assert np.array_equal(debias.anchors, t1.x)
+            assert close(debias(x_test), fit_debias(t1, pooled, lam2, CFG)(x_test))
 
     def test_one_factor_larger_than_t1(self, monkeypatch):
-        # The m pooled systems share one Cholesky factor: every other
-        # factorization is of a system on T1's rows (the debias steps).
+        # The m pooled systems share one Cholesky factor, of the largest
+        # rung's rows, apart from the rungs krr.plan_direct fits with fit_krr
+        # on their own rows after it; every other factorization is of a
+        # system on T1's rows (the debias steps).
         rng = np.random.default_rng(409)
         t1 = _dataset(rng, 12)
         sources = [_dataset(rng, n) for n in (6, 9, 7, 5)]
@@ -191,8 +228,12 @@ class TestBuildCandidates:
 
         monkeypatch.setattr(kernels, "cho_factor", spy)
         monkeypatch.setattr(krr, "cho_factor", spy, raising=False)
-        build_candidates(t1, sources, ranked, SCHED, CFG, f0)
-        assert [n for n in orders if n > 12] == [12 + 6 + 9 + 7 + 5]
+        cs = build_candidates(t1, sources, ranked, SCHED, CFG, f0)
+        sizes = np.array([12 + sum(sources[k - 1].n for k in s) for s in cs.nested_sets[1:]])
+        ridges = [schedule_lambda_source(int(n), SCHED) for n in sizes]
+        direct = sizes[krr.plan_direct(sizes, sizes * ridges)].tolist()
+        assert direct and len(direct) < 4
+        assert [n for n in orders if n > 12] == [12 + 6 + 9 + 7 + 5] + direct
         assert orders.count(12) == 4
 
     def test_whole_target_rung(self):
@@ -223,9 +264,10 @@ class TestBuildCandidates:
 
     def test_fig6_whole_target_rung_matches_fit_pooled(self, monkeypatch):
         # At fig6 sizes with m = 10 (n0 = 600, 13 sources of 300 rows) the
-        # ladder converges on every rung, the 4500-row top rung included:
-        # krr.fit_krr, which fit_krr_nested falls back to, is never called.
-        # The top rung predicts within 1e-12 relative of fit_pooled.
+        # ladder converges on every CG rung, the 4500-row top rung included:
+        # krr.fit_krr, which fit_krr_nested falls back to, is called only for
+        # the rungs krr.plan_direct fits directly. The top rung predicts
+        # within 1e-12 relative of fit_pooled.
         spec = SimSpec(example="ex2mod", s=0.25, m=10)
         target, sources, _, _ = gen_scenario(spec, seed=derive_seed(20260815, 2, 0))
         sched, cfg = LambdaSchedule(scale=0.1), KernelConfig(bandwidth=0.1)
@@ -233,13 +275,30 @@ class TestBuildCandidates:
         real = krr.fit_krr
         monkeypatch.setattr(krr, "fit_krr", lambda data, *a: fallbacks.append(data.n) or real(data, *a))
         _, cs = prepare_candidates(target, sources, 0, sched, cfg)
-        assert fallbacks == []
+        sizes = np.array([300 + 300 * k for k in range(1, 14)] + [4500])
+        ridges = [schedule_lambda_source(int(n), sched) for n in sizes]
+        assert fallbacks == sizes[krr.plan_direct(sizes, sizes * ridges)].tolist() == [600, 900, 1200]
         assert cs.pooled.anchors.shape == (4500, 3)
         coll = SourceCollection(sources=tuple(sources), transferable=tuple(range(1, 14)))
         own = fit_pooled(target, coll, schedule_lambda_source(4500, sched), cfg)
         x_test = np.random.default_rng(411).random((200, 3))
         want = own(x_test)
         assert np.max(np.abs(cs.pooled(x_test) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_batch_values_match_each_candidate(self):
+        # The batched predictions at T2 are, row by row, each candidate
+        # evaluated there on its own (on a copy of T2's rows, so nothing kept
+        # is read back), within 1e-12 relative to the largest value.
+        rng = np.random.default_rng(412)
+        target = _dataset(rng, 30, d=2)
+        for sources in ([_dataset(rng, n, d=2) for n in (8, 12, 10, 9)], []):
+            t2, cs = prepare_candidates(target, sources, 5, SCHED, CFG)
+            assert cs.values.shape == (len(sources) + 1, t2.n)
+            for row, f in zip(cs.values, cs.candidates):
+                want = f(t2.x.copy())
+                assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+        t1, _ = split_uniform(target, 5)
+        assert build_candidates(t1, [], cs, SCHED, CFG, cs.candidates[0]).values is None
 
     def test_candidate_count_validation(self):
         with pytest.raises(ValueError):
@@ -271,6 +330,12 @@ class TestEmpiricalRisk:
             assert empirical_risk(f, data) == pytest.approx(manual, abs=1e-12)
 
 
+def _at(candidates, t2):
+    # The candidates' predictions at t2's rows, row l for candidate l: the
+    # values the aggregators take.
+    return np.array([f(t2.x) for f in candidates])
+
+
 def _aggregate_case(rng, n_candidates=None, n2=None):
     k = n_candidates or int(rng.integers(1, 7))
     candidates = [_function(rng) for _ in range(k)]
@@ -283,7 +348,7 @@ class TestHyperSparse:
         rng = np.random.default_rng(409)
         for _ in range(N_CASES):
             candidates, t2, seed = _aggregate_case(rng)
-            agg = hyper_sparse_aggregate(candidates, t2, seed)
+            agg = hyper_sparse_aggregate(candidates, t2, seed, _at(candidates, t2))
             assert 0.0 <= agg.weight <= 1.0
             best, survivors = _survivors(candidates, t2, seed)
             assert best in survivors
@@ -294,7 +359,7 @@ class TestHyperSparse:
         rng = np.random.default_rng(410)
         for _ in range(N_CASES):
             candidates, t2, seed = _aggregate_case(rng)
-            agg = hyper_sparse_aggregate(candidates, t2, seed)
+            agg = hyper_sparse_aggregate(candidates, t2, seed, _at(candidates, t2))
             _, t22 = split_uniform(t2, seed)
             mix_risk = empirical_risk(agg, t22)
             for idx in (agg.idx_a, agg.idx_b):
@@ -304,7 +369,7 @@ class TestHyperSparse:
         rng = np.random.default_rng(411)
         for _ in range(50):
             candidates, t2, seed = _aggregate_case(rng, n_candidates=4)
-            agg = hyper_sparse_aggregate(candidates, t2, seed)
+            agg = hyper_sparse_aggregate(candidates, t2, seed, _at(candidates, t2))
             _, t22 = split_uniform(t2, seed)
             fa = candidates[agg.idx_a](t22.x)
             fb = candidates[agg.idx_b](t22.x)
@@ -320,21 +385,41 @@ class TestHyperSparse:
         rng = np.random.default_rng(412)
         f = _function(rng)
         t2 = _dataset(rng, 12)
-        agg = hyper_sparse_aggregate([f, f], t2, 5)
+        agg = hyper_sparse_aggregate([f, f], t2, 5, _at([f, f], t2))
         assert agg.weight == 1.0
 
     def test_singleton_candidate(self):
         rng = np.random.default_rng(413)
         f = _function(rng)
-        agg = hyper_sparse_aggregate([f], _dataset(rng, 10), 0)
+        t2 = _dataset(rng, 10)
+        agg = hyper_sparse_aggregate([f], t2, 0, _at([f], t2))
         assert agg.idx_a == agg.idx_b == 0
         assert agg.weight == 1.0
+
+    def test_sub_halves_are_split_uniform_rows(self, monkeypatch):
+        # The aggregation's T21 and T22 are row slices of the values at T2,
+        # by the permutation split_uniform draws: bit for bit the rows of
+        # split_uniform(t2, seed), responses and candidate values alike.
+        rng = np.random.default_rng(428)
+        halves, real = [], aggregate.split_uniform
+        monkeypatch.setattr(aggregate, "split_uniform", lambda *a: halves.append(real(*a)) or halves[-1])
+        for n in (2, 3, 17, 40):
+            t2 = _dataset(rng, n, d=2)
+            candidates = [lambda x, level=level: x[:, 0] + level for level in range(3)]
+            halves.clear()
+            hyper_sparse_aggregate(candidates, t2, 9, _at(candidates, t2))
+            assert len(halves) == 1
+            for got, half in zip(halves[0], real(t2, 9)):
+                assert np.array_equal(got.y, half.y)
+                assert np.array_equal(got.x.T, _at(candidates, half))
+        with pytest.raises(TooFewRowsError):
+            hyper_sparse_aggregate([candidates[0]], _dataset(rng, 1), 0, np.zeros((1, 1)))
 
     def test_deterministic(self):
         rng = np.random.default_rng(414)
         candidates, t2, seed = _aggregate_case(rng, n_candidates=5)
-        a = hyper_sparse_aggregate(candidates, t2, seed)
-        b = hyper_sparse_aggregate(candidates, t2, seed)
+        a = hyper_sparse_aggregate(candidates, t2, seed, _at(candidates, t2))
+        b = hyper_sparse_aggregate(candidates, t2, seed, _at(candidates, t2))
         assert (a.idx_a, a.idx_b, a.weight) == (b.idx_a, b.idx_b, b.weight)
 
 
@@ -369,7 +454,7 @@ class TestSaTkrr:
         target = _dataset(rng, 20)
         sources = [_dataset(rng, 10) for _ in range(2)]
         t2, cs = prepare_candidates(target, sources, 2, SCHED, CFG)
-        picked = hyper_sparse_aggregate(cs.candidates, t2, 2)
+        picked = hyper_sparse_aggregate(cs.candidates, t2, 2, _at(cs.candidates, t2))
         model = sa_tkrr(target, sources, 2, SCHED, CFG)
         assert (model.idx_a, model.idx_b, model.weight) == (
             picked.idx_a, picked.idx_b, picked.weight
@@ -396,7 +481,7 @@ class TestSaTkrr:
         fit_candidate = aggregate._fit_candidate
         refits = []
 
-        def pick_pair(candidates, t2, split_seed):
+        def pick_pair(candidates, t2, split_seed, values):
             return AggregateModel(idx_a=1, idx_b=2, weight=weight, candidates=tuple(candidates))
 
         def counted(level, *args):
@@ -453,7 +538,7 @@ class TestSaTkrr:
         krr = fit_krr(target, schedule_lambda_source(22, SCHED), CFG)
         xq = rng.random((5, 1))
         assert np.array_equal(model(xq), krr(xq))
-        aew = aew_aggregate(cs.candidates, t2, temperature=1.0)
+        aew = aew_aggregate(cs.candidates, t2, 1.0, cs.values)
         assert np.array_equal(aew(xq), cs.candidates[0](xq))
 
     def test_needs_four_rows(self):
@@ -467,14 +552,14 @@ class TestAew:
         rng = np.random.default_rng(418)
         for _ in range(N_CASES):
             candidates, t2, _ = _aggregate_case(rng)
-            model = aew_aggregate(candidates, t2, temperature=1.0)
+            model = aew_aggregate(candidates, t2, 1.0, _at(candidates, t2))
             assert abs(float(model.weights.sum()) - 1.0) <= 1e-12
             assert np.all(model.weights >= 0)
 
     def test_lower_risk_gets_higher_weight(self):
         rng = np.random.default_rng(419)
         candidates, t2, _ = _aggregate_case(rng, n_candidates=4)
-        model = aew_aggregate(candidates, t2, temperature=0.5)
+        model = aew_aggregate(candidates, t2, 0.5, _at(candidates, t2))
         risks = [empirical_risk(f, t2) for f in candidates]
         order = np.argsort(risks)
         weights = model.weights[order]
@@ -483,13 +568,13 @@ class TestAew:
     def test_high_temperature_flattens(self):
         rng = np.random.default_rng(420)
         candidates, t2, _ = _aggregate_case(rng, n_candidates=3)
-        model = aew_aggregate(candidates, t2, temperature=1e9)
+        model = aew_aggregate(candidates, t2, 1e9, _at(candidates, t2))
         np.testing.assert_allclose(model.weights, 1.0 / 3.0, atol=1e-6)
 
     def test_prediction_is_convex_mix(self):
         rng = np.random.default_rng(421)
         candidates, t2, _ = _aggregate_case(rng, n_candidates=3)
-        model = aew_aggregate(candidates, t2, temperature=1.0)
+        model = aew_aggregate(candidates, t2, 1.0, _at(candidates, t2))
         xq = rng.random((6, 1))
         manual = sum(
             w * f(xq) for w, f in zip(model.weights, candidates)
@@ -499,9 +584,9 @@ class TestAew:
     def test_validation(self):
         rng = np.random.default_rng(422)
         with pytest.raises(ValueError):
-            aew_aggregate([], _dataset(rng, 5), 1.0)
+            aew_aggregate([], _dataset(rng, 5), 1.0, np.zeros((0, 5)))
         with pytest.raises(ValueError):
-            aew_aggregate([_function(rng)], _dataset(rng, 5), 0.0)
+            aew_aggregate([_function(rng)], _dataset(rng, 5), 0.0, np.zeros((1, 5)))
 
 
 class TestModelTypes:

@@ -59,6 +59,16 @@ class TestSimulate:
         assert archived["sweep"]["values"] == [0.05, 0.3]
         assert "results.csv" in capsys.readouterr().out
 
+    def test_warning_counts_failed_fits(self, tmp_path, capsys):
+        # SA_TKRR needs 4 target rows, so it fails in each of the 4 cells
+        # while KRR fits: 4 fits fail, not 4 cells.
+        cfg = write_config(
+            tmp_path, methods=["KRR", "SA_TKRR"],
+            scenario={"example": "ex1", "s": 0.1, "m": 3, "n0": 3, "n_k": 30, "n_te": 50},
+        )
+        assert main(["simulate", "--config", str(cfg), "--threads", "1"]) == 0
+        assert "warning: 4 fits failed and were excluded from summary" in capsys.readouterr().out
+
     def test_out_flag_overrides_output_dir(self, tmp_path):
         cfg = write_config(tmp_path)
         dest = tmp_path / "elsewhere"
@@ -204,6 +214,29 @@ class TestFit:
             line = capsys.readouterr().out
             errs[method] = float(line.split("test_error=")[1].split()[0])
         assert errs["AhTKRR"] < errs["KRR"]
+
+    def test_evaluates_the_model_once(self, tmp_path, capsys, monkeypatch):
+        # The test grid is evaluated once; the printed error is that of the
+        # written predictions, as prediction_error would give it.
+        cfg = write_config(tmp_path)
+        fit_method, calls, models = harness._fit_method, [], []
+
+        def counted(*args, **kwargs):
+            model = fit_method(*args, **kwargs)
+            models.append(model)
+            return lambda x: calls.append(len(x)) or model(x)
+
+        monkeypatch.setattr(harness, "_fit_method", counted)
+        out = tmp_path / "pred.csv"
+        assert main(["fit", "--config", str(cfg), "--method", "AhTKRR", "--out", str(out)]) == 0
+        assert calls == [50]
+        config = harness.config_from_json(str(cfg))
+        *_, x_test, reference = harness.build_cell(config, 0, 0)
+        err = harness.prediction_error(models[0], x_test, reference)
+        printed = capsys.readouterr().out
+        assert printed == f"AhTKRR: test_error={err!r} n_test=50 -> {out}\n"
+        pred = [float(r["prediction"]) for r in read_rows(out)]
+        assert np.array_equal(pred, models[0](x_test))
 
     def test_unknown_method_exits(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -272,7 +272,7 @@ class TestSharedStages:
         cell_seed, target, sources, transferable, _, _ = harness.build_cell(cfg, 0, 0)
         m = len(sources)
 
-        def all_sources(candidates, t2, split_seed):
+        def all_sources(candidates, t2, split_seed, values):
             return AggregateModel(idx_a=m, idx_b=0, weight=0.5, candidates=tuple(candidates))
 
         monkeypatch.setattr(aggregate, "hyper_sparse_aggregate", all_sources)

@@ -9,6 +9,7 @@ from tkrr.krr import (
     LambdaSchedule,
     fit_krr,
     fit_krr_nested,
+    plan_direct,
     schedule_lambda_debias,
     schedule_lambda_source,
 )
@@ -179,6 +180,12 @@ def _spy_fit_krr(monkeypatch):
     return calls
 
 
+def _planned(sizes, ridges):
+    # The sizes of the rungs plan_direct fits with fit_krr, in rung order.
+    sizes = np.asarray(sizes)
+    return sizes[plan_direct(sizes, sizes * np.asarray(ridges))].tolist()
+
+
 def _nested_case(rng, d, sizes, ridges):
     n = max(sizes)
     ds = Dataset(x=rng.normal(size=(n, d)), y=rng.normal(size=n))
@@ -198,7 +205,9 @@ def _assert_rungs_match(ds, cfg, x_test, sizes, ridges, fits):
 
 
 class TestFitKrrNested:
-    SIZES = (30, 90, 1, 200, 400, 250)
+    # plan_direct fits the three smallest rungs with fit_krr and leaves three
+    # rungs to CG, for every shift pattern below.
+    SIZES = (30, 90, 1, 330, 400, 360)
     # The ridge at n rows, so that the shifts n * ridge rise, fall or are
     # equal. The shifts stay above 0.1: fit_krr's own distance from the exact
     # solution grows with the system's condition number, and at a shift of
@@ -216,8 +225,22 @@ class TestFitKrrNested:
         ridges = [self.SHIFTS[shifts](n) for n in self.SIZES]
         calls = _spy_fit_krr(monkeypatch)
         case = _nested_case(rng, d, self.SIZES, ridges)
-        assert calls == []
+        assert calls == _planned(self.SIZES, ridges) == [30, 90, 1]
         _assert_rungs_match(*case[:3], self.SIZES, ridges, case[3])
+        ds, cfg = case[:2]
+        for k, ridge, fit in zip(self.SIZES, ridges, case[3]):
+            if k in calls:  # a planned direct rung is fit_krr, bit for bit
+                want = fit_krr(Dataset(x=ds.x[:k], y=ds.y[:k]), ridge, cfg)
+                assert np.array_equal(fit.coefficients, want.coefficients)
+
+    def test_plan(self):
+        # Direct rungs are a smallest-first prefix, never of the largest size;
+        # a lone rung, or rungs of one size, are all CG.
+        sizes = np.array([600, 900, 1200, 1500, 1800, 2100, 2400, 2700, 3000, 3300, 3600, 3900, 4200, 4500])
+        assert sizes[plan_direct(sizes, 0.1 * sizes ** (2 / 3))].tolist() == [600, 900, 1200]
+        assert plan_direct([5], [1.0]).tolist() == [False]
+        assert plan_direct([7, 7], [0.1, 10.0]).tolist() == [False, False]
+        assert plan_direct([], []).tolist() == []
 
     @pytest.mark.parametrize("sizes", [(80,), (1,), (1, 2), (60, 1)])
     def test_single_and_one_row_rungs(self, sizes):
@@ -252,25 +275,44 @@ class TestFitKrrNested:
             assert np.array_equal(fit.anchors, want.anchors)
 
     def test_rungs_that_miss_the_cap_are_refit(self, monkeypatch):
-        # With the step cap cut to ceil(sqrt(kappa)) CG steps, only the 1-row
-        # rung, whose operator is a scalar, converges (in one step); the
-        # others are refit by fit_krr and still match it.
+        # The 1-row rung is planned direct. With the step cap cut to
+        # ceil(sqrt(kappa)) CG steps, none of the three CG rungs converges, so
+        # each is refit by fit_krr, in rung order, and still matches it.
         monkeypatch.setattr(krr, "_CG_CAP", 1)
         rng = np.random.default_rng(223)
-        sizes = (50, 1, 120)
+        sizes = (300, 1, 400, 350)
         ridges = [self.SHIFTS["rising"](n) for n in sizes]
+        assert _planned(sizes, ridges) == [1]
         calls = _spy_fit_krr(monkeypatch)
         case = _nested_case(rng, 2, sizes, ridges)
-        assert calls == [50, 120]
+        assert calls == [300, 1, 400, 350]
+        _assert_rungs_match(*case[:3], sizes, ridges, case[3])
+
+    def test_direct_converged_and_refit_rungs_in_one_ladder(self, monkeypatch):
+        # All three paths in one ladder. The 1-row rung is planned direct.
+        # The CG rungs have shifts 0.25, 1 and 4, so c = 1 and, at the cut
+        # cap of 2 steps, the 460-row rung (shift c, operator I) converges in
+        # one step while the 420- and 512-row rungs miss and are refit. So
+        # fit_krr sees the direct and the refit rungs, in rung order, and
+        # never the converged one; every rung still matches fit_krr.
+        monkeypatch.setattr(krr, "_CG_CAP", 1)
+        rng = np.random.default_rng(225)
+        sizes = (420, 1, 512, 460)
+        ridges = [s / n for s, n in zip((0.25, 0.25, 4.0, 1.0), sizes)]
+        assert _planned(sizes, ridges) == [1]
+        calls = _spy_fit_krr(monkeypatch)
+        case = _nested_case(rng, 2, sizes, ridges)
+        assert calls == [420, 1, 512]
         _assert_rungs_match(*case[:3], sizes, ridges, case[3])
 
 
     def test_fig6_ladder_with_whole_target_rung_converges(self, monkeypatch):
         # SA's ladder at fig6 sizes with m = 10 (n0 = 600, 13 sources of 300
         # rows): T1, the sources, then T2, with rungs at T1 plus each source
-        # count and one whole-target rung of 4500 rows. Every rung meets the
-        # CG tolerance, so there is no fallback fit_krr call, and the top
-        # rung is fit_krr on all rows within the 1e-12 relative bound.
+        # count and one whole-target rung of 4500 rows. Every CG rung meets
+        # the tolerance, so the only fit_krr calls are the planned direct
+        # rungs, and the top rung is fit_krr on all rows within the 1e-12
+        # relative bound.
         spec = SimSpec(example="ex2mod", s=0.25, m=10)
         target, sources, _, _ = gen_scenario(spec, seed=20260815)
         t1, t2 = target.split(300, 0)
@@ -281,7 +323,7 @@ class TestFitKrrNested:
         ridges = [schedule_lambda_source(n, sched) for n in sizes]
         calls = _spy_fit_krr(monkeypatch)
         fits = fit_krr_nested(ds, sizes, ridges, cfg)
-        assert calls == []
+        assert calls == _planned(sizes, ridges) == [600, 900, 1200]
         x_test = np.random.default_rng(224).random((100, 3))
         want = fit_krr(ds, ridges[-1], cfg)(x_test)
         assert np.max(np.abs(fits[-1](x_test) - want)) <= 1e-12 * np.max(np.abs(want))

@@ -66,7 +66,8 @@ def test_result_attributes_the_tracer_reads():
     f0 = krr.fit_krr(target, krr.schedule_lambda_source(target.n, sched), cfg)
     built = aggregate.build_candidates(target, sources, ranked, sched, cfg, f0)
     assert len(built.candidates) == 3
-    mixed = aggregate.aew_aggregate(built.candidates, target, 1.0)
+    values = np.array([f(target.x) for f in built.candidates])
+    mixed = aggregate.aew_aggregate(built.candidates, target, 1.0, values)
     assert len(mixed.weights) == 3
     model = aggregate.sa_tkrr(target, sources, 3, sched, cfg)
     assert {model.idx_a, model.idx_b} <= {0, 1, 2} and 0.0 <= model.weight <= 1.0
