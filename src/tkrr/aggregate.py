@@ -14,10 +14,11 @@ computed once. On the second half a hyper-sparse aggregation picks a
 convex pair of candidates: an empirical-risk winner on one sub-half, a
 margin rule that keeps near-winners, and a closed-form mixing weight
 fitted on the other sub-half, each sub-half a row slice of those
-predictions. SA then refits the chosen pair on the whole target, pooling in
-index order. The rule has no settings: the margin is that of Gaiffas &
-Lecue 2011 with constant 1. Exponential weighting over the same candidates
-is provided as a softer alternative.
+predictions. SA then refits the chosen pair on the whole target: the
+all-sources candidate on the ladder's top rung, any other pooling in index
+order. The rule has no settings: the margin is that of Gaiffas & Lecue
+2011 with constant 1. Exponential weighting over the same candidates is
+provided as a softer alternative.
 
 Every fitted model is a callable on covariate rows: a RepresenterFunction
 (candidate 0, target-only KRR), a WeightedSum (the two-step candidates and
@@ -76,16 +77,16 @@ class CandidateSet:
     by source index). nested_sets, derived from ranks, lists the m+1 induced
     source sets from the empty set up to all sources, each in rank order.
     The candidate fits on T1 pool their sources in rank order, as rungs of
-    one nested ladder; a refit on the whole target pools them in index
-    order, so a refit depends only on the set. candidates holds the
-    m+1 models (index 0 = target-only KRR) and may be empty on a
-    ranking-only result. pooled is the ladder's top rung, the pooled fit of
-    the whole target with every source, its rows T1, the sources in rank
-    order, then T2; it is None on a ranking-only result, with no sources,
-    or when the candidates were built without T2. values holds the
-    candidates' predictions at T2's rows, row l for candidate l, computed as
-    one batch and within 1e-12 relative of candidates[l](T2.x); it is None
-    unless the candidates were built with T2.
+    one nested ladder. candidates holds the m+1 models (index 0 =
+    target-only KRR) and may be empty on a ranking-only result. pooled is
+    the ladder's top rung, the pooled fit of the whole target with every
+    source, its rows T1, the sources in rank order, then T2; SA's refit of
+    the all-sources candidate uses it as its pooled step, while a refit of
+    any other set pools in index order. It is None on a ranking-only
+    result, with no sources, or when the candidates were built without T2.
+    values holds the candidates' predictions at T2's rows, row l for
+    candidate l, computed as one batch and within 1e-12 relative of
+    candidates[l](T2.x); it is None unless the candidates were built with T2.
     """
 
     contrast_norms: NDArray[np.float64]
@@ -191,18 +192,18 @@ def _fit_candidate(
     ranked: CandidateSet,
     schedules: LambdaSchedule,
     cfg: KernelConfig,
-    pool=None,
 ):
-    # Candidate `level` of build_candidates, fitted on `target` (T1, or the
-    # full sample on a refit) with ridges for its size; pool as in
-    # fit_ah_tkrr.
+    # SA's refit of candidate `level` on the whole target, with ridges for
+    # its size. The all-sources candidate's pooled step is ranked.pooled,
+    # the ladder's top rung; any other set pools in index order.
     if level == 0:
         return fit_krr(target, schedule_lambda_source(target.n, schedules), cfg)
     subset = tuple(sorted(ranked.nested_sets[level]))
     coll = SourceCollection(sources=tuple(sources), transferable=subset)
     lam1 = schedule_lambda_source(coll.n_transferable + target.n, schedules)
     lam2 = _debias_ridge(level, target.n, ranked, schedules)
-    return fit_ah_tkrr(target, coll, lam1, lam2, cfg, pool)
+    pooled = ranked.pooled if level == ranked.m else None
+    return fit_ah_tkrr(target, coll, lam1, lam2, cfg, pooled)
 
 
 def _debias_ridge(level: int, n_target: int, ranked: CandidateSet, schedules: LambdaSchedule) -> float:
@@ -315,12 +316,13 @@ def hyper_sparse_aggregate(
     with the smallest risk wins; earlier pairs win ties. A singleton
     survivor set returns the winner with weight 1. values holds the
     candidates' predictions at t2's rows, row l for candidate l
-    (CandidateSet.values). The sub-halves are split_uniform's halves of
-    those columns paired with t2's responses, so they are t2's own halves'
-    rows, and no candidate is evaluated here.
+    (CandidateSet.values); any other shape raises ValueError. The
+    sub-halves are split_uniform's halves of those columns paired with t2's
+    responses, so they are t2's own halves' rows, and no candidate is
+    evaluated here.
     """
-    if not candidates:
-        raise ValueError("need at least one candidate")
+    if not candidates or np.shape(values) != (len(candidates), t2.n):
+        raise ValueError(f"want values of shape ({len(candidates)} >= 1, {t2.n}), got {np.shape(values)}")
     t21, t22 = split_uniform(Dataset(values.T, t2.y), split_seed)
     preds21, preds22 = t21.x.T.copy(), t22.x.T.copy()
     risks21 = np.array([float(np.mean((t21.y - p) ** 2)) for p in preds21])
@@ -364,7 +366,6 @@ def sa_tkrr(
     schedules: LambdaSchedule,
     cfg: KernelConfig,
     prepared: tuple[Dataset, CandidateSet] | None = None,
-    pool=None,
 ) -> AggregateModel:
     """Full pipeline: split, rank, build candidates, aggregate, refit.
 
@@ -372,15 +373,12 @@ def sa_tkrr(
     fitting run on the first half, aggregation on the second (whose own
     sub-split reuses split_seed on different rows). `prepared` passes in
     prepare_candidates' result for these same arguments when it has already
-    been computed. The chosen candidates with nonzero weight are then refit
-    on the full target sample at schedules recomputed for the full size,
-    keeping the T1 contrast estimates for the plug-in offset and the mixing
-    weight unchanged; a refit pools in index order. `pool`, if given, makes
-    a refit's pooled step, called as transfer.fit_pooled is (on the whole
-    target). The sweep passes its per-cell store: the all-sources refit
-    gets the prepared set's pooled rung, the fit Pooled_TKRR uses, and a
-    refit of any other set reuses a pooled fit of that set that another
-    method of the cell has made.
+    been computed; the sweep's SA_TKRR is this call with it. The chosen
+    candidates with nonzero weight are then refit on the full target sample
+    at schedules recomputed for the full size, keeping the T1 contrast
+    estimates for the plug-in offset and the mixing weight unchanged. The
+    all-sources refit's pooled step is the candidate set's pooled field,
+    the ladder's top rung; a refit of any other set pools in index order.
     """
     if target.n < 4:
         raise TooFewRowsError(f"need at least 4 target rows, got {target.n}")
@@ -389,7 +387,7 @@ def sa_tkrr(
     refit = list(agg.candidates)
     for idx, w in ((agg.idx_a, agg.weight), (agg.idx_b, 1.0 - agg.weight)):
         if w != 0.0:
-            refit[idx] = _fit_candidate(idx, target, sources, cs, schedules, cfg, pool)
+            refit[idx] = _fit_candidate(idx, target, sources, cs, schedules, cfg)
     return dataclasses.replace(agg, candidates=tuple(refit))
 
 
@@ -401,8 +399,8 @@ def aew_aggregate(
     values holds the candidates' predictions at t2's rows, as in
     hyper_sparse_aggregate.
     """
-    if not candidates:
-        raise ValueError("need at least one candidate")
+    if not candidates or np.shape(values) != (len(candidates), t2.n):
+        raise ValueError(f"want values of shape ({len(candidates)} >= 1, {t2.n}), got {np.shape(values)}")
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     risks = np.array([float(np.mean((t2.y - p) ** 2)) for p in values])

@@ -299,27 +299,27 @@ class _Kept(RepresenterFunction):
         return self.values[k]
 
 
+def _keep(shared: dict, target: Dataset, f: RepresenterFunction) -> _Kept:
+    return _Kept(f.anchors, f.coefficients, f.kernel, (target.x, shared.get("x_test")))
+
+
 def _prepared(shared: dict, target: Dataset, sources, config: ExperimentConfig, cell_seed: int):
-    # SA's split, ranking and candidate set, whose pooled rung is the
+    # SA's split, ranking and candidate set; its pooled rung, kept, is the
     # cell's all-sources pooled fit.
-    return _once(shared, "candidates", lambda: prepare_candidates(
-        target, sources, _sa_split_seed(cell_seed), config.schedules, config.kernel
-    ))
+    def prepare():
+        seed = _sa_split_seed(cell_seed)
+        t2, cs = prepare_candidates(target, sources, seed, config.schedules, config.kernel)
+        kept = None if cs.pooled is None else _keep(shared, target, cs.pooled)
+        return t2, dataclasses.replace(cs, pooled=kept)
+
+    return _once(shared, "candidates", prepare)
 
 
-def _pooled(shared: dict, target: Dataset, coll: SourceCollection, lam1: float, cfg: KernelConfig,
-            ranked=None):
-    # The cell's pooled fit of one source set, called as fit_pooled is.
-    # Keyed by the set and its row order: every caller passes the cell's
-    # whole target. Given the prepared candidate set `ranked`, the
-    # all-sources fit is its pooled rung; any other fit pools in index order.
-    top = ranked is not None and ranked.pooled is not None and len(coll.transferable) == ranked.m
-
-    def fit():
-        f = ranked.pooled if top else fit_pooled(target, coll, lam1, cfg)
-        return _Kept(f.anchors, f.coefficients, f.kernel, (target.x, shared.get("x_test")))
-
-    return _once(shared, ("pooled", coll.transferable, top), fit)
+def _pooled(shared: dict, target: Dataset, coll: SourceCollection, lam1: float, cfg: KernelConfig):
+    # The cell's index-order pooled fit of one source set, kept. Keyed by
+    # the set: every caller passes the cell's whole target.
+    fit = partial(fit_pooled, target, coll, lam1, cfg)
+    return _once(shared, ("pooled", coll.transferable), lambda: _keep(shared, target, fit()))
 
 
 def _fit_method(
@@ -335,13 +335,13 @@ def _fit_method(
 
     `shared` holds the stages that methods of the same cell have in common,
     so each is fitted once: SA's split, ranking and candidate set, which AEW
-    aggregates differently, and the pooled fits by source set, each keeping
-    its values at the target rows and the test grid _run_cell stores under
-    "x_test". AhTKRR_WD is AhTKRR's pooled step; both pool in index order.
-    Pooled_TKRR's fit, the same object as SA's refit of the all-sources
-    candidate, is the candidate ladder's top rung (see aggregate), unless
-    the cell has no sources or too small a target to split; then it pools
-    in index order, as SA's refit of any other set does.
+    aggregates differently, and the index-order pooled fits by source set,
+    each keeping its values at the target rows and the test grid _run_cell
+    stores under "x_test". Without it (`tkrr fit`) every result is bit for
+    bit the sweep's. AhTKRR_WD is AhTKRR's pooled step. Pooled_TKRR's is
+    the candidate set's kept top rung, on which SA_TKRR (aggregate.sa_tkrr)
+    refits its all-sources candidate, unless the cell has no sources or too
+    small a target to split; then it pools in index order.
     """
     shared = {} if shared is None else shared
     sched, cfg = config.schedules, config.kernel
@@ -350,27 +350,27 @@ def _fit_method(
         return fit_krr(target, lam0, cfg)
 
     if method in ("AhTKRR", "AhTKRR_WD", "Pooled_TKRR"):
-        idx, ranked = transferable, None
+        idx, pooled = transferable, None
         if method == "Pooled_TKRR":
             idx = tuple(range(1, len(sources) + 1))
             if sources and target.n >= 2:  # split_uniform's minimum
-                ranked = _prepared(shared, target, sources, config, cell_seed)[1]
+                pooled = _prepared(shared, target, sources, config, cell_seed)[1].pooled
         coll = SourceCollection(sources=sources, transferable=idx)
         lam1 = schedule_lambda_source(coll.n_transferable + target.n, sched)
-        pool = partial(_pooled, shared, ranked=ranked)
+        if pooled is None:
+            pooled = _pooled(shared, target, coll, lam1, cfg)
         if method == "AhTKRR_WD":
-            return pool(target, coll, lam1, cfg)
+            return pooled
         # Offset magnitude defaults to 1 when the transferable set is taken
         # as given rather than estimated.
         lam2 = schedule_lambda_debias(target.n, 1.0, sched)
-        return fit_ah_tkrr(target, coll, lam1, lam2, cfg, pool)
+        return fit_ah_tkrr(target, coll, lam1, lam2, cfg, pooled)
 
     if method not in ("SA_TKRR", "AEW_TKRR"):
         raise ValueError(f"unknown method {method!r}")
     prepared = _prepared(shared, target, sources, config, cell_seed)
     if method == "SA_TKRR":
-        pool = partial(_pooled, shared, ranked=prepared[1])
-        return sa_tkrr(target, sources, _sa_split_seed(cell_seed), sched, cfg, prepared, pool)
+        return sa_tkrr(target, sources, _sa_split_seed(cell_seed), sched, cfg, prepared)
     t2, cs = prepared
     temperature = max(2.0 * float(np.var(t2.y)), 1e-12)
     return aew_aggregate(cs.candidates, t2, temperature, cs.values)

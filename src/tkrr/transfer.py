@@ -90,13 +90,13 @@ def fit_ah_tkrr(
     lambda1: float,
     lambda2: float,
     cfg: KernelConfig,
-    pool=None,
+    pooled: RepresenterFunction | None = None,
 ) -> WeightedSum:
     """Two-step fit: pooled step at lambda1, debias step at lambda2.
 
-    pool, if given, makes the pooled step in place of fit_pooled and is
-    called as fit_pooled is; a caller that keeps its pooled fits passes a
-    lookup here.
+    pooled, if given, is the pooled step already fitted (a fit of these
+    sources with target at lambda1), and fit_pooled is not called.
     """
-    pooled = (pool or fit_pooled)(target, sources, lambda1, cfg)
+    if pooled is None:
+        pooled = fit_pooled(target, sources, lambda1, cfg)
     return WeightedSum((pooled, fit_debias(target, pooled, lambda2, cfg)), (1.0, 1.0))

@@ -415,6 +415,17 @@ class TestHyperSparse:
         with pytest.raises(TooFewRowsError):
             hyper_sparse_aggregate([candidates[0]], _dataset(rng, 1), 0, np.zeros((1, 1)))
 
+    def test_values_shape_checked(self):
+        # values must hold one row per candidate and one column per T2 row:
+        # with fewer rows the margin's M would count candidates never scored.
+        rng = np.random.default_rng(429)
+        target = _dataset(rng, 24)
+        t2, cs = prepare_candidates(target, [_dataset(rng, 12) for _ in range(3)], 2, SCHED, CFG)
+        assert cs.values.shape == (4, t2.n)
+        for values in (cs.values[:2], cs.values[:, :-1], cs.values.T, cs.values[0]):
+            with pytest.raises(ValueError, match="want values of shape"):
+                hyper_sparse_aggregate(cs.candidates, t2, 2, values)
+
     def test_deterministic(self):
         rng = np.random.default_rng(414)
         candidates, t2, seed = _aggregate_case(rng, n_candidates=5)
@@ -587,6 +598,10 @@ class TestAew:
             aew_aggregate([], _dataset(rng, 5), 1.0, np.zeros((0, 5)))
         with pytest.raises(ValueError):
             aew_aggregate([_function(rng)], _dataset(rng, 5), 0.0, np.zeros((1, 5)))
+        pair = [_function(rng), _function(rng)]
+        for shape in ((2,), (2, 4), (1, 5), (3, 5), (5, 2)):
+            with pytest.raises(ValueError, match="want values of shape"):
+                aew_aggregate(pair, _dataset(rng, 5), 1.0, np.zeros(shape))
 
 
 class TestModelTypes:

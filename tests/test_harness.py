@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tkrr import aggregate, harness
+from tkrr import aggregate, harness, transfer
 from tkrr.aggregate import AggregateModel
 from tkrr.datasets import StudyConfig, load_studies
 from tkrr.harness import (
@@ -246,7 +246,10 @@ class TestSharedStages:
                 return out
             return wrapped
 
-        monkeypatch.setattr(harness, "fit_pooled", recording(pooled_sets, harness.fit_pooled, 1))
+        # The harness's store fits A_h's pooled step; SA's partial-set
+        # refits fit theirs in transfer.fit_ah_tkrr.
+        for module in (harness, transfer):
+            monkeypatch.setattr(module, "fit_pooled", recording(pooled_sets, module.fit_pooled, 1))
         monkeypatch.setattr(
             harness, "prepare_candidates", recording(prepared, harness.prepare_candidates)
         )
@@ -261,9 +264,10 @@ class TestSharedStages:
         assert len(prepared) == 1
         (_, cs), (agg,) = prepared[0], chosen
         weighted = ((agg.idx_a, agg.weight), (agg.idx_b, 1.0 - agg.weight))
-        needed = {(1, 2)} | {
+        needed = [(1, 2)] + [
             tuple(sorted(cs.nested_sets[i])) for i, w in weighted if 0 < i < cs.m and w != 0.0
-        }
+        ]
+        assert len(needed) > 1
         assert sorted(pooled_sets) == sorted(needed)
 
     @pytest.mark.parametrize("sa_first", [False, True])
@@ -302,6 +306,35 @@ class TestSharedStages:
         x_test = np.linspace(0.0, 1.0, 50)[:, None]
         want = own(x_test)
         assert np.max(np.abs(pooled(x_test) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_sweep_sa_is_the_library_sa(self, monkeypatch):
+        # The sweep's SA_TKRR, on the cell's shared candidate set, and the
+        # library's sa_tkrr on the same arguments are one estimator: with the
+        # all-sources candidate weighted, their refits pool alike.
+        cfg = tiny_config(methods=("SA_TKRR",))
+        cell_seed, target, sources, transferable, x_test, _ = harness.build_cell(cfg, 0, 0)
+        m = len(sources)
+
+        def all_sources(candidates, t2, split_seed, values):
+            return AggregateModel(idx_a=m, idx_b=0, weight=0.5, candidates=tuple(candidates))
+
+        monkeypatch.setattr(aggregate, "hyper_sparse_aggregate", all_sources)
+        shared = {"x_test": x_test}
+        sweep = harness._fit_method("SA_TKRR", target, sources, transferable, cfg, cell_seed, shared)
+        library = aggregate.sa_tkrr(
+            target, sources, harness._sa_split_seed(cell_seed), cfg.schedules, cfg.kernel
+        )
+        assert np.array_equal(sweep(x_test), library(x_test))
+
+    def test_fit_without_store_is_the_sweep(self):
+        # `tkrr fit` fits one method with no per-cell store; every method's
+        # test_error equals the sweep's row for the same cell bit for bit.
+        cfg = tiny_config(methods=METHODS, sweep_values=(0.1,), replications=1, fixed=(("a_h", 2),))
+        rows = {r.method: r.test_error for r in run_sweep(cfg, threads=1)}
+        cell_seed, target, sources, transferable, x_test, reference = harness.build_cell(cfg, 0, 0)
+        for method in METHODS:
+            model = harness._fit_method(method, target, sources, transferable, cfg, cell_seed)
+            assert prediction_error(model, x_test, reference) == rows[method], method
 
     def test_shared_pooled_values_are_kept_per_array(self, monkeypatch):
         # A shared pooled fit is evaluated once on the cell's target rows
@@ -364,7 +397,7 @@ class TestPooledFallback:
             coll = SourceCollection(sources=sources, transferable=tuple(range(1, len(sources) + 1)))
             lam1 = schedule_lambda_source(coll.n_transferable + target.n, cfg.schedules)
             lam2 = schedule_lambda_debias(target.n, 1.0, cfg.schedules)
-            want = fit_ah_tkrr(target, coll, lam1, lam2, cfg.kernel, fit_pooled)
+            want = fit_ah_tkrr(target, coll, lam1, lam2, cfg.kernel)
             assert r.test_error == prediction_error(want, x_test, reference)
 
 
