@@ -13,7 +13,6 @@ from .aggregate import (
     CandidateSet,
     aew_aggregate,
     build_candidates,
-    empirical_risk,
     hyper_sparse_aggregate,
     prepare_candidates,
     rank_contrasts,

@@ -62,7 +62,6 @@ __all__ = [
     "rank_contrasts",
     "build_candidates",
     "prepare_candidates",
-    "empirical_risk",
     "hyper_sparse_aggregate",
     "sa_tkrr",
     "aew_aggregate",
@@ -83,10 +82,10 @@ class CandidateSet:
     source, its rows T1, the sources in rank order, then T2; SA's refit of
     the all-sources candidate uses it as its pooled step, while a refit of
     any other set pools in index order. It is None on a ranking-only
-    result, with no sources, or when the candidates were built without T2.
-    values holds the candidates' predictions at T2's rows, row l for
-    candidate l, computed as one batch and within 1e-12 relative of
-    candidates[l](T2.x); it is None unless the candidates were built with T2.
+    result or with no sources. values holds the candidates' predictions at
+    T2's rows, row l for candidate l, computed as one batch and within
+    1e-12 relative of candidates[l](T2.x); it is None on a ranking-only
+    result.
     """
 
     contrast_norms: NDArray[np.float64]
@@ -220,7 +219,7 @@ def build_candidates(
     schedules: LambdaSchedule,
     cfg: KernelConfig,
     target_fit: RepresenterFunction,
-    t2: Dataset | None = None,
+    t2: Dataset,
 ) -> CandidateSet:
     """Fit the m+1 candidate models induced by a ranking.
 
@@ -229,16 +228,16 @@ def build_candidates(
     runs the two-step fit, the debias ridge using the plug-in offset max
     contrast within the set. The pooled steps are the rungs of one
     krr.fit_krr_nested ladder on t1 followed by the sources in rank order.
-    Given t2, the rest of the target, and at least one source, the ladder
-    gets one more rung with t2's rows last: the whole-target all-sources
-    pooled fit, at the source-rate ridge for all its rows, returned as the
-    set's pooled field.
+    With at least one source the ladder gets one more rung with t2, the
+    rest of the target, last: the whole-target all-sources pooled fit, at
+    the source-rate ridge for all its rows, returned as the set's pooled
+    field.
 
     The candidates are evaluated as a batch. One Gram of t1 against the top
     candidate's rows, times the zero-padded pooled coefficients in one
     dgemm, gives every pooled step at t1, from which the debias steps fit
-    their residuals. Given t2, the same product at t2, plus one Gram of t2
-    against t1 times candidate 0's and the debias coefficients, gives every
+    their residuals. The same product at t2, plus one Gram of t2 against t1
+    times candidate 0's and the debias coefficients, gives every
     candidate's values at t2 (pooled + debias, the sum WeightedSum forms),
     the set's values field.
     """
@@ -246,13 +245,12 @@ def build_candidates(
     ranked_all = SourceCollection(tuple(sources), ranked.nested_sets[-1])
     data = _pooled_dataset(t1, ranked_all)
     sizes = list(t1.n + np.cumsum([sources[k - 1].n for k in ranked_all.transferable], dtype=int))
-    whole = t2 is not None and m > 0
-    if whole:
+    if m:
         data = Dataset(np.concatenate([data.x, t2.x]), np.concatenate([data.y, t2.y]))
         sizes.append(data.n)
     lam1 = [schedule_lambda_source(int(n), schedules) for n in sizes]
     ladder = fit_krr_nested(data, sizes, lam1, cfg)
-    debias, values = [], None
+    debias = []
     if m:
         anchors, coef = data.x[: sizes[m - 1]], np.zeros((m, sizes[m - 1]))
         for row, f in zip(coef, ladder):
@@ -262,16 +260,15 @@ def build_candidates(
             fit_debias(t1, f, _debias_ridge(level, t1.n, ranked, schedules), cfg, at)
             for level, (f, at) in enumerate(zip(ladder, at_t1), start=1)
         ]
-    if t2 is not None:
-        t1_coef = np.array([target_fit.coefficients] + [g.coefficients for g in debias])
-        values = _gemm(gram_matrix(cfg, t2.x, t1.x), t1_coef)
-        if m:
-            values[1:] += _gemm(gram_matrix(cfg, t2.x, anchors), coef)
+    t1_coef = np.array([target_fit.coefficients] + [g.coefficients for g in debias])
+    values = _gemm(gram_matrix(cfg, t2.x, t1.x), t1_coef)
+    if m:
+        values[1:] += _gemm(gram_matrix(cfg, t2.x, anchors), coef)
     candidates = (target_fit,) + tuple(
         WeightedSum((f, g), (1.0, 1.0)) for f, g in zip(ladder, debias)
     )
     return dataclasses.replace(
-        ranked, candidates=candidates, pooled=ladder[-1] if whole else None, values=values
+        ranked, candidates=candidates, pooled=ladder[-1] if m else None, values=values
     )
 
 
@@ -293,12 +290,6 @@ def prepare_candidates(
     f0 = fit_krr(t1, schedule_lambda_source(t1.n, schedules), cfg)
     ranked = rank_contrasts(t1, sources, schedules, cfg, f0)
     return t2, build_candidates(t1, sources, ranked, schedules, cfg, f0, t2)
-
-
-def empirical_risk(model, data: Dataset) -> float:
-    """Mean squared prediction error of a fitted model on one dataset."""
-    r = data.y - model(data.x)
-    return float(np.mean(r * r))
 
 
 def hyper_sparse_aggregate(

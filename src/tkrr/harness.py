@@ -68,7 +68,6 @@ __all__ = [
     "run_sweep",
     "summarize",
     "emit_csv",
-    "resolve_threads",
 ]
 
 METHODS = ("KRR", "AhTKRR", "AhTKRR_WD", "Pooled_TKRR", "SA_TKRR", "AEW_TKRR")
@@ -136,6 +135,8 @@ class ExperimentConfig:
         if not self.sweep_values:
             raise ValueError("sweep values must be nonempty")
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
+        if len(set(self.sweep_values)) != len(self.sweep_values):  # 10 == 10.0
+            raise ValueError(f"duplicate sweep values: {self.sweep_values}")
         if synthetic:
             spec = self.scenario
             fewest = spec.total_sources - spec.m + min(
@@ -241,6 +242,8 @@ def _real_cell(config: ExperimentConfig, value, cell_seed: int, studies):
     name = config.sweep_name
     n0 = int(value) if name == "n0" else int(config.fixed_value("n0", target_full.n // 2))
     n_ah = int(value) if name == "n_ah" else config.fixed_value("n_ah")
+    if n0 >= target_full.n:  # no test rows: a bad input, not a failed fit
+        raise ValueError(f"n0={n0} leaves no test rows of the target's {target_full.n}")
     train, test = subsample_split(target_full, n0, derive_seed(cell_seed, 0))
     std = fit_standardizer(train)
     train, test = apply_standardizer(std, train), apply_standardizer(std, test)
@@ -279,28 +282,22 @@ def _once(shared: dict, key, fit):
 
 @dataclass(frozen=True, eq=False)
 class _Kept(RepresenterFunction):
-    """A cell's shared pooled fit that keeps its values at the cell's rows.
+    """A cell's shared pooled fit that keeps its values for each array it is called on.
 
-    A call on one of rows, matched by identity (the cell's target rows and
-    test grid), is evaluated once; the kept values are read-only and bit for
-    bit the fit's own. Any other array is evaluated afresh.
+    Arrays are matched by identity: a call on an array seen before returns
+    the values of the first call, read-only and bit for bit the fit's own.
     """
 
-    rows: tuple = ()
-    values: dict = dataclasses.field(default_factory=dict)
+    kept: list = dataclasses.field(default_factory=list)
 
     def __call__(self, x: NDArray) -> NDArray[np.float64]:
-        k = next((k for k, r in enumerate(self.rows) if r is x), None)
-        if k is None:
-            return super().__call__(x)
-        if k not in self.values:
-            self.values[k] = v = super().__call__(x)
-            v.flags.writeable = False
-        return self.values[k]
-
-
-def _keep(shared: dict, target: Dataset, f: RepresenterFunction) -> _Kept:
-    return _Kept(f.anchors, f.coefficients, f.kernel, (target.x, shared.get("x_test")))
+        for seen, values in self.kept:
+            if seen is x:
+                return values
+        values = super().__call__(x)
+        values.flags.writeable = False
+        self.kept.append((x, values))
+        return values
 
 
 def _prepared(shared: dict, target: Dataset, sources, config: ExperimentConfig, cell_seed: int):
@@ -309,17 +306,10 @@ def _prepared(shared: dict, target: Dataset, sources, config: ExperimentConfig, 
     def prepare():
         seed = _sa_split_seed(cell_seed)
         t2, cs = prepare_candidates(target, sources, seed, config.schedules, config.kernel)
-        kept = None if cs.pooled is None else _keep(shared, target, cs.pooled)
+        kept = None if cs.pooled is None else _Kept(**vars(cs.pooled))
         return t2, dataclasses.replace(cs, pooled=kept)
 
     return _once(shared, "candidates", prepare)
-
-
-def _pooled(shared: dict, target: Dataset, coll: SourceCollection, lam1: float, cfg: KernelConfig):
-    # The cell's index-order pooled fit of one source set, kept. Keyed by
-    # the set: every caller passes the cell's whole target.
-    fit = partial(fit_pooled, target, coll, lam1, cfg)
-    return _once(shared, ("pooled", coll.transferable), lambda: _keep(shared, target, fit()))
 
 
 def _fit_method(
@@ -336,8 +326,8 @@ def _fit_method(
     `shared` holds the stages that methods of the same cell have in common,
     so each is fitted once: SA's split, ranking and candidate set, which AEW
     aggregates differently, and the index-order pooled fits by source set,
-    each keeping its values at the target rows and the test grid _run_cell
-    stores under "x_test". Without it (`tkrr fit`) every result is bit for
+    each keeping its values for every array it is called on (the target
+    rows and the test grid). Without it (`tkrr fit`) every result is bit for
     bit the sweep's. AhTKRR_WD is AhTKRR's pooled step. Pooled_TKRR's is
     the candidate set's kept top rung, on which SA_TKRR (aggregate.sa_tkrr)
     refits its all-sources candidate, unless the cell has no sources or too
@@ -357,8 +347,9 @@ def _fit_method(
                 pooled = _prepared(shared, target, sources, config, cell_seed)[1].pooled
         coll = SourceCollection(sources=sources, transferable=idx)
         lam1 = schedule_lambda_source(coll.n_transferable + target.n, sched)
-        if pooled is None:
-            pooled = _pooled(shared, target, coll, lam1, cfg)
+        if pooled is None:  # the cell's index-order pooled fit of this set, kept
+            fit = partial(fit_pooled, target, coll, lam1, cfg)
+            pooled = _once(shared, ("pooled", coll.transferable), lambda: _Kept(**vars(fit())))
         if method == "AhTKRR_WD":
             return pooled
         # Offset magnitude defaults to 1 when the transferable set is taken
@@ -382,7 +373,7 @@ def _run_cell(config: ExperimentConfig, v_index: int, rep: int, studies=None) ->
         cell = build_cell(config, v_index, rep, studies)
         cell_seed, target, sources, transferable, x_test, reference = cell
         rows = []
-        shared: dict = {"x_test": x_test}
+        shared: dict = {}
         for method in config.methods:
             t0 = time.perf_counter()
             try:
@@ -408,15 +399,6 @@ def _run_cell(config: ExperimentConfig, v_index: int, rep: int, studies=None) ->
     return rows
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """The worker count: threads if given (at least 1), else 1.
-
-    Pool workers leave BLAS at its default thread count, so on a small host
-    they fight over cores and a pooled sweep runs slower than a serial one.
-    """
-    return 1 if threads is None else max(1, int(threads))
-
-
 def run_sweep(config: ExperimentConfig, threads: int | None = None) -> list[ResultRow]:
     """Run every (value, replication) cell and return sorted result rows.
 
@@ -426,7 +408,10 @@ def run_sweep(config: ExperimentConfig, threads: int | None = None) -> list[Resu
     or TooFewRowsError) keeps its row with a blank test_error; the run goes on.
     """
     studies = None if isinstance(config.scenario, SimSpec) else load_studies(config.scenario)
-    n_threads = resolve_threads(threads)
+    # Pool workers leave BLAS at its default thread count, so on a small host
+    # they fight over cores and a pooled sweep runs slower than a serial one:
+    # the default is one process.
+    n_threads = 1 if threads is None else max(1, int(threads))
     cells = [
         (vi, rep)
         for vi in range(len(config.sweep_values))

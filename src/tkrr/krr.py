@@ -107,7 +107,8 @@ def plan_direct(sizes, shifts) -> NDArray[np.bool_]:
     two ladder shapes, SA's at unknown-ex2mod and at fig6's m = 10 sizes
     (README, "The candidate ladder"), where they land in the fastest range;
     a count of passes (most steps times 2 N^2) picks one rung or none there,
-    which timed slower. Picks for other shapes are unverified.
+    which timed slower. Its picks for the other shipped shapes are pinned
+    by tests, not timed.
     """
     sizes, shifts = np.asarray(sizes, dtype=int).ravel(), np.asarray(shifts, dtype=float).ravel()
     best, direct = np.inf, np.zeros(sizes.shape, dtype=bool)

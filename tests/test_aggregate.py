@@ -9,7 +9,6 @@ from tkrr.aggregate import (
     CandidateSet,
     aew_aggregate,
     build_candidates,
-    empirical_risk,
     hyper_sparse_aggregate,
     prepare_candidates,
     rank_contrasts,
@@ -23,6 +22,7 @@ from tkrr.kernels import (
     TooFewRowsError,
     WeightedSum,
 )
+from tkrr.harness import prediction_error
 from tkrr.krr import (
     LambdaSchedule,
     fit_krr,
@@ -172,10 +172,11 @@ class TestBuildCandidates:
         rng = np.random.default_rng(407)
         t1 = _dataset(rng, 12)
         sources = [_dataset(rng, n) for n in (6, 9, 7)]
+        t2 = _dataset(np.random.default_rng(413), 11)
         ranked = rank_contrasts(t1, sources, SCHED, CFG)
         assert ranked.ranks.tolist() != [1, 2, 3]
         f0 = fit_krr(t1, schedule_lambda_source(12, SCHED), CFG)
-        cs = build_candidates(t1, sources, ranked, SCHED, CFG, f0)
+        cs = build_candidates(t1, sources, ranked, SCHED, CFG, f0, t2)
         assert len(cs.candidates) == 4
         assert cs.candidates[0] is f0
         x_test = rng.random((30, 1))
@@ -210,13 +211,15 @@ class TestBuildCandidates:
             assert close(debias(x_test), fit_debias(t1, pooled, lam2, CFG)(x_test))
 
     def test_one_factor_larger_than_t1(self, monkeypatch):
-        # The m pooled systems share one Cholesky factor, of the largest
-        # rung's rows, apart from the rungs krr.plan_direct fits with fit_krr
-        # on their own rows after it; every other factorization is of a
-        # system on T1's rows (the debias steps).
+        # The m + 1 pooled systems (the candidates' and the whole-target
+        # rung's) share one Cholesky factor, of the largest rung's rows,
+        # apart from the rungs krr.plan_direct fits with fit_krr on their own
+        # rows after it; every other factorization is of a system on T1's
+        # rows (the debias steps).
         rng = np.random.default_rng(409)
         t1 = _dataset(rng, 12)
         sources = [_dataset(rng, n) for n in (6, 9, 7, 5)]
+        t2 = _dataset(np.random.default_rng(414), 10)
         ranked = rank_contrasts(t1, sources, SCHED, CFG)
         f0 = fit_krr(t1, schedule_lambda_source(12, SCHED), CFG)
         orders = []
@@ -228,12 +231,12 @@ class TestBuildCandidates:
 
         monkeypatch.setattr(kernels, "cho_factor", spy)
         monkeypatch.setattr(krr, "cho_factor", spy, raising=False)
-        cs = build_candidates(t1, sources, ranked, SCHED, CFG, f0)
-        sizes = np.array([12 + sum(sources[k - 1].n for k in s) for s in cs.nested_sets[1:]])
+        cs = build_candidates(t1, sources, ranked, SCHED, CFG, f0, t2)
+        sizes = np.array([12 + sum(sources[k - 1].n for k in s) for s in cs.nested_sets[1:]] + [49])
         ridges = [schedule_lambda_source(int(n), SCHED) for n in sizes]
         direct = sizes[krr.plan_direct(sizes, sizes * ridges)].tolist()
-        assert direct and len(direct) < 4
-        assert [n for n in orders if n > 12] == [12 + 6 + 9 + 7 + 5] + direct
+        assert direct and len(direct) < 5
+        assert [n for n in orders if n > 12] == [12 + 6 + 9 + 7 + 5 + 10] + direct
         assert orders.count(12) == 4
 
     def test_whole_target_rung(self):
@@ -241,7 +244,7 @@ class TestBuildCandidates:
         # whole target with every source: rows T1, the sources in rank order,
         # then T2, at the source-rate ridge for all rows. It predicts as the
         # index-order fit_pooled does, within fit_krr_nested's 1e-12 relative
-        # bound, and adds no candidate. Without T2 or sources there is none.
+        # bound, and adds no candidate. Without sources there is none.
         rng = np.random.default_rng(410)
         target = _dataset(rng, 24)
         sources = [_dataset(rng, n) for n in (6, 9, 7)]
@@ -258,7 +261,6 @@ class TestBuildCandidates:
         x_test = rng.random((30, 1))
         want = own(x_test)
         assert np.max(np.abs(cs.pooled(x_test) - want)) <= 1e-12 * np.max(np.abs(want))
-        assert build_candidates(t1, sources, ranked, SCHED, CFG, f0).pooled is None
         no_sources = rank_contrasts(t1, [], SCHED, CFG, f0)
         assert build_candidates(t1, [], no_sources, SCHED, CFG, f0, t2).pooled is None
 
@@ -297,8 +299,6 @@ class TestBuildCandidates:
             for row, f in zip(cs.values, cs.candidates):
                 want = f(t2.x.copy())
                 assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
-        t1, _ = split_uniform(target, 5)
-        assert build_candidates(t1, [], cs, SCHED, CFG, cs.candidates[0]).values is None
 
     def test_candidate_count_validation(self):
         with pytest.raises(ValueError):
@@ -318,7 +318,7 @@ class TestEmpiricalRisk:
     def test_constant_zero_oracle(self):
         zero = RepresenterFunction(np.zeros((1, 1)), np.zeros(1), CFG)
         data = Dataset(x=np.random.default_rng(0).random((9, 1)), y=np.full(9, 2.0))
-        assert empirical_risk(zero, data) == 4.0
+        assert prediction_error(zero, data.x, data.y) == 4.0
 
     def test_matches_summation(self):
         rng = np.random.default_rng(408)
@@ -327,7 +327,7 @@ class TestEmpiricalRisk:
             data = _dataset(rng, int(rng.integers(2, 25)))
             pred = f(data.x)
             manual = sum((y - p) ** 2 for y, p in zip(data.y, pred)) / data.n
-            assert empirical_risk(f, data) == pytest.approx(manual, abs=1e-12)
+            assert prediction_error(f, data.x, data.y) == pytest.approx(manual, abs=1e-12)
 
 
 def _at(candidates, t2):
@@ -361,9 +361,9 @@ class TestHyperSparse:
             candidates, t2, seed = _aggregate_case(rng)
             agg = hyper_sparse_aggregate(candidates, t2, seed, _at(candidates, t2))
             _, t22 = split_uniform(t2, seed)
-            mix_risk = empirical_risk(agg, t22)
+            mix_risk = prediction_error(agg, t22.x, t22.y)
             for idx in (agg.idx_a, agg.idx_b):
-                assert mix_risk <= empirical_risk(candidates[idx], t22) + 1e-10
+                assert mix_risk <= prediction_error(candidates[idx], t22.x, t22.y) + 1e-10
 
     def test_weight_matches_grid_search(self):
         rng = np.random.default_rng(411)
@@ -571,7 +571,7 @@ class TestAew:
         rng = np.random.default_rng(419)
         candidates, t2, _ = _aggregate_case(rng, n_candidates=4)
         model = aew_aggregate(candidates, t2, 0.5, _at(candidates, t2))
-        risks = [empirical_risk(f, t2) for f in candidates]
+        risks = [prediction_error(f, t2.x, t2.y) for f in candidates]
         order = np.argsort(risks)
         weights = model.weights[order]
         assert np.all(np.diff(weights) <= 1e-12)

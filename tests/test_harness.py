@@ -19,7 +19,6 @@ from tkrr.harness import (
     config_to_dict,
     emit_csv,
     prediction_error,
-    resolve_threads,
     run_sweep,
     summarize,
 )
@@ -319,7 +318,7 @@ class TestSharedStages:
             return AggregateModel(idx_a=m, idx_b=0, weight=0.5, candidates=tuple(candidates))
 
         monkeypatch.setattr(aggregate, "hyper_sparse_aggregate", all_sources)
-        shared = {"x_test": x_test}
+        shared = {}
         sweep = harness._fit_method("SA_TKRR", target, sources, transferable, cfg, cell_seed, shared)
         library = aggregate.sa_tkrr(
             target, sources, harness._sa_split_seed(cell_seed), cfg.schedules, cfg.kernel
@@ -337,13 +336,14 @@ class TestSharedStages:
             assert prediction_error(model, x_test, reference) == rows[method], method
 
     def test_shared_pooled_values_are_kept_per_array(self, monkeypatch):
-        # A shared pooled fit is evaluated once on the cell's target rows
-        # (by AhTKRR's debias step) and once on its test grid; the kept
-        # values are read-only and bit for bit a fresh evaluation. Any other
-        # array is evaluated afresh.
+        # A shared pooled fit is evaluated once on each array it is called
+        # on, matched by identity: the cell's target rows (by AhTKRR's debias
+        # step), its test grid, or any other array. The kept values are
+        # read-only and bit for bit a fresh evaluation; an equal copy of an
+        # array is another array.
         cfg = tiny_config(fixed=(("a_h", 2),))
         cell_seed, target, sources, transferable, x_test, _ = harness.build_cell(cfg, 0, 0)
-        shared = {"x_test": x_test}
+        shared = {}
         fit = [
             harness._fit_method(m, target, sources, transferable, cfg, cell_seed, shared)
             for m in ("AhTKRR", "AhTKRR_WD")
@@ -362,7 +362,9 @@ class TestSharedStages:
             assert pooled(x) is kept and not kept.flags.writeable
             assert np.array_equal(kept, want[id(x)])
         assert evaluated == [len(x_test)]
-        pooled(x_test.copy())
+        copy = x_test.copy()
+        assert np.array_equal(pooled(copy), want[id(x_test)])
+        assert pooled(copy) is pooled(copy)
         assert evaluated == [len(x_test)] * 2
 
     def test_no_debias_row_is_the_pooled_fit(self):
@@ -430,6 +432,29 @@ class TestRealDataSweep:
         rows = run_sweep(cfg, threads=1)
         assert len(rows) == 12
         assert all(r.test_error >= 0 for r in rows)
+
+    def test_no_test_rows_raises_before_any_fit(self, tmp_path, monkeypatch):
+        # n0 equal to the target's 30 rows leaves no test rows: a bad input
+        # that raises, not a sweep of failed fits.
+        spec = SimSpec(example="ex1", s=0.2, m=1, n0=30, n_k=20)
+        target, sources, _, _ = gen_scenario(spec, seed=6)
+        studies = tuple(
+            StudyConfig(path=str(path), feature_columns=("x1",), response_column="y",
+                        role="target" if k == 0 else "source")
+            for k, path in enumerate(scenario_to_csv(target, sources, tmp_path))
+        )
+        cfg = ExperimentConfig(
+            scenario=studies, methods=("KRR", "SA_TKRR"), sweep_name="n0", sweep_values=(20, 30),
+            replications=2,
+        )
+        fits = []
+        zero = lambda x: np.zeros(len(x))  # noqa: E731
+        monkeypatch.setattr(harness, "_fit_method", lambda *a: fits.append(a) or zero)
+        with pytest.raises(ValueError, match="n0=30 leaves no test rows of the target's 30"):
+            harness.build_cell(cfg, 1, 0)
+        with pytest.raises(ValueError, match="n0=30"):
+            run_sweep(cfg, threads=1)
+        assert len(fits) == len(cfg.methods) * cfg.replications  # the n0 = 20 cells only
 
     def test_build_cell_uses_given_studies_and_drops_empty_sources(self, tmp_path):
         spec = SimSpec(example="ex1", s=0.2, m=2, n0=40, n_k=30)
@@ -607,6 +632,9 @@ class TestConfigPlumbing:
             tiny_config(methods=("Krr",))
         with pytest.raises(ValueError):
             tiny_config(sweep_values=())
+        for values in ((0.1, 0.1), (10, 20, 10.0)):
+            with pytest.raises(ValueError, match="duplicate sweep values"):
+                tiny_config(sweep_values=values)
         with pytest.raises(ValueError):
             tiny_config(replications=0)
         with pytest.raises(ValueError):
@@ -654,17 +682,46 @@ class TestConfigPlumbing:
 
 
 class TestThreads:
-    def test_argument_when_no_env(self):
-        assert resolve_threads(2) == 2
-        assert resolve_threads(0) == 1
-        assert resolve_threads() >= 1
+    """run_sweep starts a process pool only when asked for more than one worker."""
 
-    def test_default_is_one_worker(self, monkeypatch):
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        # A ProcessPoolExecutor that runs the cells in this process and
+        # records the worker count of each pool started.
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        return started
+
+    def test_argument_when_no_env(self, pools):
+        cfg = tiny_config(methods=("KRR",))
+        serial = [r.test_error for r in run_sweep(cfg, threads=1)]
+        assert pools == []
+        assert [r.test_error for r in run_sweep(cfg, threads=2)] == serial
+        assert pools == [2]
+
+    def test_default_is_one_worker(self, monkeypatch, pools):
         # Whatever the host offers: 64 CPUs, all of them usable, still one worker.
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(
             harness.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False
         )
-        assert resolve_threads() == 1
-        assert resolve_threads(None) == 1
-        assert resolve_threads(2) == 2
+        cfg = tiny_config(methods=("KRR",))
+        for threads in (None, 0):
+            run_sweep(cfg, threads=threads)
+        assert pools == []
+        run_sweep(cfg, threads=2)
+        assert pools == [2]

@@ -233,11 +233,33 @@ class TestFitKrrNested:
                 want = fit_krr(Dataset(x=ds.x[:k], y=ds.y[:k]), ridge, cfg)
                 assert np.array_equal(fit.coefficients, want.coefficients)
 
+    # SA's ladder for every shipped config and benchmark workload, at the
+    # shipped schedules (r = alpha = 1; the picks do not depend on the
+    # schedules' scale), as (|T1|, rows per source, sources),
+    # and the rungs plan_direct fits directly. The rungs have |T1| + n_k,
+    # |T1| + 2 n_k, ... rows, then the whole target's 2 |T1| + m n_k. Only
+    # unknown-ex2mod and fig6 at m = 10 were timed; the rest are pinned.
+    LADDERS = {
+        "fig6 m=0": ((300, 300, 3), [600]),
+        "fig6 m=5": ((300, 300, 8), [600, 900]),
+        "fig6 m=10": ((300, 300, 13), [600, 900, 1200]),
+        "unknown-ex2mod": ((200, 200, 13), [400, 600, 800, 1000]),
+        "csv-studies": ((75, 300, 4), [375]),
+        "used-car": ((250, 500, 8), [750, 1250]),
+        **{
+            f"wine n0={2 * t1} n_ah={n_k}": ((t1, n_k, 1), [])
+            for t1 in (50, 100, 150)
+            for n_k in (200, 400, 600, 800, 1000, 1500)
+        },
+    }
+
     def test_plan(self):
         # Direct rungs are a smallest-first prefix, never of the largest size;
         # a lone rung, or rungs of one size, are all CG.
-        sizes = np.array([600, 900, 1200, 1500, 1800, 2100, 2400, 2700, 3000, 3300, 3600, 3900, 4200, 4500])
-        assert sizes[plan_direct(sizes, 0.1 * sizes ** (2 / 3))].tolist() == [600, 900, 1200]
+        for name, ((t1, n_k, m), direct) in self.LADDERS.items():
+            sizes = np.array([t1 + k * n_k for k in range(1, m + 1)] + [2 * t1 + m * n_k])
+            ridges = [schedule_lambda_source(int(n), LambdaSchedule(scale=0.1)) for n in sizes]
+            assert _planned(sizes, ridges) == direct, name
         assert plan_direct([5], [1.0]).tolist() == [False]
         assert plan_direct([7, 7], [0.1, 10.0]).tolist() == [False, False]
         assert plan_direct([], []).tolist() == []

@@ -60,14 +60,14 @@ def test_result_attributes_the_tracer_reads():
     rng = np.random.default_rng(210)
     target = Dataset(x=rng.random((24, 1)), y=rng.normal(size=24))
     sources = [Dataset(x=rng.random((n, 1)), y=rng.normal(size=n)) for n in (10, 12)]
+    t2 = Dataset(x=rng.random((8, 1)), y=rng.normal(size=8))
     sched, cfg = LambdaSchedule(scale=0.5), KernelConfig(bandwidth=0.5)
     ranked = aggregate.rank_contrasts(target, sources, sched, cfg)
     assert sorted(ranked.ranks.tolist()) == [1, 2]
     f0 = krr.fit_krr(target, krr.schedule_lambda_source(target.n, sched), cfg)
-    built = aggregate.build_candidates(target, sources, ranked, sched, cfg, f0)
+    built = aggregate.build_candidates(target, sources, ranked, sched, cfg, f0, t2)
     assert len(built.candidates) == 3
-    values = np.array([f(target.x) for f in built.candidates])
-    mixed = aggregate.aew_aggregate(built.candidates, target, 1.0, values)
+    mixed = aggregate.aew_aggregate(built.candidates, t2, 1.0, built.values)
     assert len(mixed.weights) == 3
     model = aggregate.sa_tkrr(target, sources, 3, sched, cfg)
     assert {model.idx_a, model.idx_b} <= {0, 1, 2} and 0.0 <= model.weight <= 1.0
