@@ -7,14 +7,15 @@ and one two-step fit per set. Their pooled steps, and the whole-target
 all-sources pooled fit, are rungs of one nested ladder whose rows are the
 first half, the sources in rank order, then the second half
 (prepare_candidates runs these stages once, so SA, exponential weighting
-and the all-sources pooled method can share them). The candidates are
-evaluated on both halves as one batch: a Gram per half times the stacked
-coefficients, so each candidate's predictions on the second half are
-computed once. On the second half a hyper-sparse aggregation picks a
-convex pair of candidates: an empirical-risk winner on one sub-half, a
-margin rule that keeps near-winners, and a closed-form mixing weight
-fitted on the other sub-half, each sub-half a row slice of those
-predictions. SA then refits the chosen pair on the whole target: the
+and the all-sources pooled method can share them). Residuals and norms at
+a fit's own rows come from its solved system, with no Gram. The ladder's
+rungs form one kernels.family, and candidate 0 with the debias steps,
+anchored at the first half, another, so each candidate's predictions on an
+array cost one Gram per family. On the second half a hyper-sparse
+aggregation picks a convex pair of candidates: an empirical-risk winner on
+one sub-half, a margin rule that keeps near-winners, and a closed-form
+mixing weight fitted on the other sub-half, each sub-half a row slice of
+those predictions. SA then refits the chosen pair on the whole target: the
 all-sources candidate on the ladder's top rung, any other pooling in index
 order. The rule has no settings: the margin is that of Gaiffas & Lecue
 2011 with constant 1. Exponential weighting over the same candidates is
@@ -41,10 +42,8 @@ from .kernels import (
     RepresenterFunction,
     TooFewRowsError,
     WeightedSum,
-    _gemm,
-    gram_matrix,
+    family,
     rkhs_norm_diff,
-    rkhs_norm_sq,
 )
 from .krr import (
     LambdaSchedule,
@@ -77,15 +76,17 @@ class CandidateSet:
     source sets from the empty set up to all sources, each in rank order.
     The candidate fits on T1 pool their sources in rank order, as rungs of
     one nested ladder. candidates holds the m+1 models (index 0 =
-    target-only KRR) and may be empty on a ranking-only result. pooled is
-    the ladder's top rung, the pooled fit of the whole target with every
-    source, its rows T1, the sources in rank order, then T2; SA's refit of
-    the all-sources candidate uses it as its pooled step, while a refit of
-    any other set pools in index order. It is None on a ranking-only
-    result or with no sources. values holds the candidates' predictions at
-    T2's rows, row l for candidate l, computed as one batch and within
-    1e-12 relative of candidates[l](T2.x); it is None on a ranking-only
-    result.
+    target-only KRR) and may be empty on a ranking-only result. The rungs
+    form one kernels.family, and candidate 0 with the debias steps another.
+    pooled is the ladder's top rung, the pooled fit of the whole target with
+    every source, its rows T1, the sources in rank order, then T2; SA's
+    refit of the all-sources candidate uses it as its pooled step, while a
+    refit of any other set pools in index order. It is None on a
+    ranking-only result or with no sources. pooled_rows (prepare_candidates)
+    index its anchors that are the target's rows, in target order. values
+    holds the candidates' predictions at T2's rows, row l for candidate l,
+    bit for bit candidates[l](T2.x) on that array; it is None on a
+    ranking-only result.
     """
 
     contrast_norms: NDArray[np.float64]
@@ -93,6 +94,7 @@ class CandidateSet:
     candidates: tuple = ()
     pooled: RepresenterFunction | None = None
     values: NDArray[np.float64] | None = None
+    pooled_rows: NDArray[np.intp] | None = None
 
     def __post_init__(self) -> None:
         norms = np.asarray(self.contrast_norms, dtype=np.float64)
@@ -168,20 +170,28 @@ def rank_contrasts(
 
     Each source gets its own KRR fit at the source-rate ridge for its
     sample size; the contrast is the RKHS distance to the target-only fit
-    on t1 (target_fit, if given). Returns ranking fields only, with an empty
-    candidate tuple; with no sources the ranking is empty (m = 0).
+    on t1 (target_fit, if given, a fit_krr fit of t1). Each fit's squared
+    norm b'Kb is b.(y - s b), from its own system (K + s I) b = y, so only
+    the cross Gram of each source with t1 is assembled. Returns ranking
+    fields only, with an empty candidate tuple; with no sources the ranking
+    is empty (m = 0).
     """
     lam0 = schedule_lambda_source(t1.n, schedules)
     f0 = fit_krr(t1, lam0, cfg) if target_fit is None else target_fit
-    norms = np.empty(len(sources))
-    f0_sq = rkhs_norm_sq(f0) if sources else None
+    norms, f0_sq = np.empty(len(sources)), _norm_sq(f0, t1.y)
     for j, src in enumerate(sources):
         fk = fit_krr(src, schedule_lambda_source(src.n, schedules), cfg)
-        norms[j] = rkhs_norm_diff(fk, f0, f0_sq)
+        norms[j] = rkhs_norm_diff(fk, f0, f0_sq, _norm_sq(fk, src.y))
     order = np.argsort(norms, kind="stable")
     ranks = np.empty(len(sources), dtype=np.int64)
     ranks[order] = np.arange(1, len(sources) + 1)
     return CandidateSet(contrast_norms=norms, ranks=ranks)
+
+
+def _norm_sq(f: RepresenterFunction, y: NDArray) -> float:
+    # ||f||^2 = b'Kb = b.(y - s b) for a ridge fit f of y.
+    b = f.coefficients
+    return float(b @ (y - f.shift * b))
 
 
 def _fit_candidate(
@@ -194,15 +204,16 @@ def _fit_candidate(
 ):
     # SA's refit of candidate `level` on the whole target, with ridges for
     # its size. The all-sources candidate's pooled step is ranked.pooled,
-    # the ladder's top rung; any other set pools in index order.
+    # the ladder's top rung, with the target at its pooled_rows; any other
+    # set pools in index order.
     if level == 0:
         return fit_krr(target, schedule_lambda_source(target.n, schedules), cfg)
     subset = tuple(sorted(ranked.nested_sets[level]))
     coll = SourceCollection(sources=tuple(sources), transferable=subset)
     lam1 = schedule_lambda_source(coll.n_transferable + target.n, schedules)
     lam2 = _debias_ridge(level, target.n, ranked, schedules)
-    pooled = ranked.pooled if level == ranked.m else None
-    return fit_ah_tkrr(target, coll, lam1, lam2, cfg, pooled)
+    pooled, rows = (ranked.pooled, ranked.pooled_rows) if level == ranked.m else (None, None)
+    return fit_ah_tkrr(target, coll, lam1, lam2, cfg, pooled, rows)
 
 
 def _debias_ridge(level: int, n_target: int, ranked: CandidateSet, schedules: LambdaSchedule) -> float:
@@ -233,13 +244,12 @@ def build_candidates(
     the source-rate ridge for all its rows, returned as the set's pooled
     field.
 
-    The candidates are evaluated as a batch. One Gram of t1 against the top
-    candidate's rows, times the zero-padded pooled coefficients in one
-    dgemm, gives every pooled step at t1, from which the debias steps fit
-    their residuals. The same product at t2, plus one Gram of t2 against t1
-    times candidate 0's and the debias coefficients, gives every
-    candidate's values at t2 (pooled + debias, the sum WeightedSum forms),
-    the set's values field.
+    t1's rows lead every rung, so each debias step fits its rung's
+    residuals there from the rung's own system. The rungs are one family
+    (krr.fit_krr_nested), and candidate 0 with the debias steps another,
+    anchored at t1. The candidates' values at t2, the set's values field,
+    are read from the two families' values there: one Gram of t2 against
+    each family's anchors, times its stacked coefficients.
     """
     m = ranked.m
     ranked_all = SourceCollection(tuple(sources), ranked.nested_sets[-1])
@@ -250,23 +260,14 @@ def build_candidates(
         sizes.append(data.n)
     lam1 = [schedule_lambda_source(int(n), schedules) for n in sizes]
     ladder = fit_krr_nested(data, sizes, lam1, cfg)
-    debias = []
-    if m:
-        anchors, coef = data.x[: sizes[m - 1]], np.zeros((m, sizes[m - 1]))
-        for row, f in zip(coef, ladder):
-            row[: f.coefficients.shape[0]] = f.coefficients
-        at_t1 = _gemm(gram_matrix(cfg, t1.x, anchors), coef)
-        debias = [
-            fit_debias(t1, f, _debias_ridge(level, t1.n, ranked, schedules), cfg, at)
-            for level, (f, at) in enumerate(zip(ladder, at_t1), start=1)
-        ]
-    t1_coef = np.array([target_fit.coefficients] + [g.coefficients for g in debias])
-    values = _gemm(gram_matrix(cfg, t2.x, t1.x), t1_coef)
-    if m:
-        values[1:] += _gemm(gram_matrix(cfg, t2.x, anchors), coef)
-    candidates = (target_fit,) + tuple(
-        WeightedSum((f, g), (1.0, 1.0)) for f, g in zip(ladder, debias)
+    anchored = family([target_fit] + [
+        fit_debias(t1, f, _debias_ridge(level, t1.n, ranked, schedules), cfg, slice(0, t1.n))
+        for level, f in enumerate(ladder[:m], start=1)
+    ])
+    candidates = anchored[:1] + tuple(
+        WeightedSum((f, g), (1.0, 1.0)) for f, g in zip(ladder, anchored[1:])
     )
+    values = np.array([c(t2.x) for c in candidates])
     return dataclasses.replace(
         ranked, candidates=candidates, pooled=ladder[-1] if m else None, values=values
     )
@@ -283,13 +284,19 @@ def prepare_candidates(
 
     Returns the second half, on which candidates are aggregated, and the
     candidate set, whose pooled field holds the whole-target all-sources
-    pooled fit (None with no sources). The target-only fit on T1 serves the
-    ranking and is candidate 0; with no sources it is the only candidate.
+    pooled fit and pooled_rows the target's rows in it (both None with no
+    sources). The target-only fit on T1 serves the ranking and is candidate
+    0; with no sources it is the only candidate.
     """
     t1, t2 = split_uniform(target, split_seed)
     f0 = fit_krr(t1, schedule_lambda_source(t1.n, schedules), cfg)
     ranked = rank_contrasts(t1, sources, schedules, cfg, f0)
-    return t2, build_candidates(t1, sources, ranked, schedules, cfg, f0, t2)
+    cs = build_candidates(t1, sources, ranked, schedules, cfg, f0, t2)
+    if cs.pooled is not None:  # the top rung's rows are T1, the sources, then T2
+        n, rows = cs.pooled.anchors.shape[0], np.empty(target.n, dtype=np.intp)
+        rows[np.concatenate(target.split_rows(t1.n, split_seed))] = np.r_[: t1.n, n - t2.n : n]
+        cs = dataclasses.replace(cs, pooled_rows=rows)
+    return t2, cs
 
 
 def hyper_sparse_aggregate(

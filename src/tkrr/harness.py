@@ -20,11 +20,9 @@ import dataclasses
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Sequence
 
@@ -237,13 +235,19 @@ def _synthetic_cell(config: ExperimentConfig, value, cell_seed: int):
     return target, sources, transferable, x_test, reference
 
 
+def _n0(config: ExperimentConfig, value, n_target: int) -> int:
+    # A CSV cell's training rows; leaving no test rows is a bad input, not a
+    # failed fit.
+    n0 = int(value) if config.sweep_name == "n0" else int(config.fixed_value("n0", n_target // 2))
+    if n0 >= n_target:
+        raise ValueError(f"n0={n0} leaves no test rows of the target's {n_target}")
+    return n0
+
+
 def _real_cell(config: ExperimentConfig, value, cell_seed: int, studies):
     target_full, sources_full = studies
-    name = config.sweep_name
-    n0 = int(value) if name == "n0" else int(config.fixed_value("n0", target_full.n // 2))
-    n_ah = int(value) if name == "n_ah" else config.fixed_value("n_ah")
-    if n0 >= target_full.n:  # no test rows: a bad input, not a failed fit
-        raise ValueError(f"n0={n0} leaves no test rows of the target's {target_full.n}")
+    n0 = _n0(config, value, target_full.n)
+    n_ah = int(value) if config.sweep_name == "n_ah" else config.fixed_value("n_ah")
     train, test = subsample_split(target_full, n0, derive_seed(cell_seed, 0))
     std = fit_standardizer(train)
     train, test = apply_standardizer(std, train), apply_standardizer(std, test)
@@ -282,10 +286,13 @@ def _once(shared: dict, key, fit):
 
 @dataclass(frozen=True, eq=False)
 class _Kept(RepresenterFunction):
-    """A cell's shared pooled fit that keeps its values for each array it is called on.
+    """A cell's shared index-order pooled fit that keeps its values for each array it is called on.
 
     Arrays are matched by identity: a call on an array seen before returns
-    the values of the first call, read-only and bit for bit the fit's own.
+    the values of the first call, read-only and bit for bit the fit's own
+    evaluation. In a cell that array is the test grid, evaluated once for
+    AhTKRR and AhTKRR_WD; AhTKRR's debias step reads the target's residuals
+    from the fit's own system.
     """
 
     kept: list = dataclasses.field(default_factory=list)
@@ -301,14 +308,10 @@ class _Kept(RepresenterFunction):
 
 
 def _prepared(shared: dict, target: Dataset, sources, config: ExperimentConfig, cell_seed: int):
-    # SA's split, ranking and candidate set; its pooled rung, kept, is the
-    # cell's all-sources pooled fit.
-    def prepare():
-        seed = _sa_split_seed(cell_seed)
-        t2, cs = prepare_candidates(target, sources, seed, config.schedules, config.kernel)
-        kept = None if cs.pooled is None else _Kept(**vars(cs.pooled))
-        return t2, dataclasses.replace(cs, pooled=kept)
-
+    # SA's split, ranking and candidate set; its pooled rung is the cell's
+    # all-sources pooled fit.
+    seed = _sa_split_seed(cell_seed)
+    prepare = partial(prepare_candidates, target, sources, seed, config.schedules, config.kernel)
     return _once(shared, "candidates", prepare)
 
 
@@ -326,12 +329,14 @@ def _fit_method(
     `shared` holds the stages that methods of the same cell have in common,
     so each is fitted once: SA's split, ranking and candidate set, which AEW
     aggregates differently, and the index-order pooled fits by source set,
-    each keeping its values for every array it is called on (the target
-    rows and the test grid). Without it (`tkrr fit`) every result is bit for
-    bit the sweep's. AhTKRR_WD is AhTKRR's pooled step. Pooled_TKRR's is
-    the candidate set's kept top rung, on which SA_TKRR (aggregate.sa_tkrr)
-    refits its all-sources candidate, unless the cell has no sources or too
-    small a target to split; then it pools in index order.
+    each keeping its values for every array it is called on (the test
+    grid). Without it (`tkrr fit`) every result is bit for bit the sweep's.
+    AhTKRR_WD is AhTKRR's pooled step. Pooled_TKRR's is the candidate set's
+    top rung, on which SA_TKRR (aggregate.sa_tkrr) refits its all-sources
+    candidate, unless the cell has no sources or too small a target to
+    split; then it pools in index order. The candidate set's families keep
+    their values per array, so the rung's test-grid values serve
+    Pooled_TKRR, SA's refit and AEW's candidates alike.
     """
     shared = {} if shared is None else shared
     sched, cfg = config.schedules, config.kernel
@@ -340,11 +345,12 @@ def _fit_method(
         return fit_krr(target, lam0, cfg)
 
     if method in ("AhTKRR", "AhTKRR_WD", "Pooled_TKRR"):
-        idx, pooled = transferable, None
+        idx, pooled, rows = transferable, None, None
         if method == "Pooled_TKRR":
             idx = tuple(range(1, len(sources) + 1))
             if sources and target.n >= 2:  # split_uniform's minimum
-                pooled = _prepared(shared, target, sources, config, cell_seed)[1].pooled
+                cs = _prepared(shared, target, sources, config, cell_seed)[1]
+                pooled, rows = cs.pooled, cs.pooled_rows
         coll = SourceCollection(sources=sources, transferable=idx)
         lam1 = schedule_lambda_source(coll.n_transferable + target.n, sched)
         if pooled is None:  # the cell's index-order pooled fit of this set, kept
@@ -355,7 +361,7 @@ def _fit_method(
         # Offset magnitude defaults to 1 when the transferable set is taken
         # as given rather than estimated.
         lam2 = schedule_lambda_debias(target.n, 1.0, sched)
-        return fit_ah_tkrr(target, coll, lam1, lam2, cfg, pooled)
+        return fit_ah_tkrr(target, coll, lam1, lam2, cfg, pooled, rows)
 
     if method not in ("SA_TKRR", "AEW_TKRR"):
         raise ValueError(f"unknown method {method!r}")
@@ -402,12 +408,15 @@ def _run_cell(config: ExperimentConfig, v_index: int, rep: int, studies=None) ->
 def run_sweep(config: ExperimentConfig, threads: int | None = None) -> list[ResultRow]:
     """Run every (value, replication) cell and return sorted result rows.
 
-    CSV studies are loaded once here and handed to every cell.
+    CSV studies are loaded once here and handed to every cell, and every
+    sweep value's n0 is checked against them before any cell runs.
     Rows sort by (method, value position, replication), so the table is
     identical no matter how cells were scheduled. A failed fit (LinAlgError
     or TooFewRowsError) keeps its row with a blank test_error; the run goes on.
     """
     studies = None if isinstance(config.scenario, SimSpec) else load_studies(config.scenario)
+    for value in () if studies is None else config.sweep_values:
+        _n0(config, value, studies[0].n)
     # Pool workers leave BLAS at its default thread count, so on a small host
     # they fight over cores and a pooled sweep runs slower than a serial one:
     # the default is one process.
@@ -421,6 +430,10 @@ def run_sweep(config: ExperimentConfig, threads: int | None = None) -> list[Resu
     if n_threads <= 1 or len(cells) <= 1:
         per_cell = list(map(run, *zip(*cells)))
     else:
+        # Imported here: a serial sweep never starts a pool.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         with ProcessPoolExecutor(
             max_workers=n_threads,
             mp_context=get_context("spawn"),

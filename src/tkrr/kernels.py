@@ -3,10 +3,11 @@
 Everything downstream (ridge fits, transfer steps, aggregation) reduces to
 Gram-matrix assembly plus symmetric positive definite solves, so those two
 primitives live here together with the two fitted-function types (one
-representer-form expansion, and a weighted sum of fitted functions) and the
-RKHS norm of a difference of two expansions. Ridge systems are held in
-LAPACK's rectangular full packed format (Gustavson, Wasniewski, Dongarra and
-Langou 2010): one triangle in n(n+1)/2 entries, factored by a level-3
+representer-form expansion, and a weighted sum of fitted functions), the
+families that evaluate several expansions over one anchor array together,
+and the RKHS norm of a difference of two expansions. Ridge systems are held
+in LAPACK's rectangular full packed format (Gustavson, Wasniewski, Dongarra
+and Langou 2010): one triangle in n(n+1)/2 entries, factored by a level-3
 Cholesky. Gram blocks and kernel matrix-vector products run in SciPy's BLAS
 too, the OpenBLAS that factors: a block's squared distances are
 ||a||^2 + ||b||^2 - 2 a.b over centred rows, the cross term one dgemm.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import os
 import sys
 from dataclasses import dataclass
 
@@ -35,6 +37,7 @@ __all__ = [
     "Dataset",
     "RepresenterFunction",
     "WeightedSum",
+    "family",
     "SpdSolveError",
     "TooFewRowsError",
     "gram_matrix",
@@ -57,6 +60,9 @@ _BLOCK_ROWS = 64
 _PAD, _DOT_COLS, _DGEMM_MACS = 16, 31, 1 << 18
 # _BELOW[:b, :b - 1] marks the strictly lower entries of a b x b block.
 _BELOW = np.tri(_BLOCK_ROWS, _BLOCK_ROWS - 1, -1, dtype=bool)
+# A family's Gram is assembled in row blocks of at most this many entries
+# (4 MB), or _BLOCK_ROWS rows if one row block is larger.
+_FAMILY_ENTRIES = 1 << 19
 
 
 def _load_scipy_linalg_extension(name: str):
@@ -69,7 +75,10 @@ def _load_scipy_linalg_extension(name: str):
     fullname = f"scipy.linalg.{name}"
     if fullname in sys.modules:
         return sys.modules[fullname]
-    (package_dir,) = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    # find_spec of the top-level package locates it without running its
+    # __init__, as a submodule's find_spec would.
+    (scipy_dir,) = importlib.util.find_spec("scipy").submodule_search_locations
+    package_dir = os.path.join(scipy_dir, "linalg")
     loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
     spec = importlib.machinery.FileFinder(package_dir, loader).find_spec(fullname)
     if spec is None:
@@ -150,20 +159,32 @@ class Dataset:
     def d(self) -> int:
         return self.x.shape[1]
 
-    def split(self, n_first: int, seed: int) -> tuple["Dataset", "Dataset"]:
-        """The first n_first rows of a seeded permutation, then the rest, each in row order."""
+    def split_rows(self, n_first: int, seed: int) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
+        """The first n_first rows of a seeded permutation, then the rest, each sorted."""
         perm = np.random.default_rng(seed).permutation(self.n)
-        first, rest = np.sort(perm[:n_first]), np.sort(perm[n_first:])
-        return Dataset(self.x[first], self.y[first]), Dataset(self.x[rest], self.y[rest])
+        return np.sort(perm[:n_first]), np.sort(perm[n_first:])
+
+    def split(self, n_first: int, seed: int) -> tuple["Dataset", "Dataset"]:
+        """The rows split_rows picks, as two datasets."""
+        return tuple(Dataset(self.x[rows], self.y[rows]) for rows in self.split_rows(n_first, seed))
 
 
 @dataclass(frozen=True)
 class RepresenterFunction:
-    """Finite kernel expansion f(x) = sum_i coefficients_i K(x, anchors_i)."""
+    """Finite kernel expansion f(x) = sum_i coefficients_i K(x, anchors_i).
+
+    shift is the s of the ridge system (K + s I) coefficients = y that
+    fitted it, K the Gram of its anchors, or None for an expansion not
+    fitted so. A fit's values at its own anchors are then y - s *
+    coefficients and its residuals y_i - f(anchors_i) are s *
+    coefficients_i, up to the solve's own residual, with no kernel
+    evaluated.
+    """
 
     anchors: NDArray[np.float64]
     coefficients: NDArray[np.float64]
     kernel: KernelConfig
+    shift: float | None = None
 
     def __post_init__(self) -> None:
         anchors = _as_matrix(self.anchors)
@@ -179,6 +200,57 @@ class RepresenterFunction:
 
     def __call__(self, x: NDArray) -> NDArray[np.float64]:
         return _gemv(gram_matrix(self.kernel, _as_matrix(x), self.anchors), self.coefficients)
+
+
+class _Family:
+    # Row k of coef holds member k's coefficients, zero past its rows.
+    def __init__(self, kernel: KernelConfig, anchors: NDArray, coef: NDArray):
+        self.kernel, self.anchors, self.coef = kernel, anchors, coef
+        self.kept: list = []
+
+    def values(self, x: NDArray) -> NDArray[np.float64]:
+        for seen, values in self.kept:
+            if seen is x:
+                return values
+        xm = _as_matrix(x)
+        values = np.empty((self.coef.shape[0], xm.shape[0]))
+        step = max(1, _FAMILY_ENTRIES // self.anchors.shape[0] // _BLOCK_ROWS) * _BLOCK_ROWS
+        for i in range(0, xm.shape[0], step):
+            values[:, i : i + step] = _gemm(gram_matrix(self.kernel, xm[i : i + step], self.anchors), self.coef)
+        values.flags.writeable = False
+        self.kept.append((x, values))
+        return values
+
+
+@dataclass(frozen=True, eq=False)
+class _Member(RepresenterFunction):
+    family: _Family | None = None
+    index: int = 0
+
+    def __call__(self, x: NDArray) -> NDArray[np.float64]:
+        return self.family.values(x)[self.index]
+
+
+def family(fits) -> tuple[RepresenterFunction, ...]:
+    """The fits, each anchored at leading rows of the widest one's anchors, as one family.
+
+    A member is its fit, but a call of any member on an array evaluates them
+    all there: the Gram against the widest anchors, in row blocks of at most
+    4 MB, times the stacked zero-padded coefficients. The values are kept
+    per array, matched by identity, read-only, and within a few ulps of each
+    fit's own evaluation, not bit for bit. No Gram is kept.
+    """
+    fits = tuple(fits)
+    if not fits:
+        return ()
+    anchors = max(fits, key=lambda f: f.anchors.shape[0]).anchors
+    coef = np.zeros((len(fits), anchors.shape[0]))
+    for row, f in zip(coef, fits):
+        if f.kernel != fits[0].kernel or not np.array_equal(f.anchors, anchors[: f.anchors.shape[0]]):
+            raise ValueError("family members must share a kernel and lead one anchor array")
+        row[: f.coefficients.shape[0]] = f.coefficients
+    fam = _Family(fits[0].kernel, anchors, coef)
+    return tuple(_Member(f.anchors, f.coefficients, f.kernel, f.shift, fam, i) for i, f in enumerate(fits))
 
 
 @dataclass(frozen=True)
@@ -359,6 +431,11 @@ def cho_factor(system: NDArray) -> None:
         raise np.linalg.LinAlgError(f"leading minor of order {info} is not positive definite")
 
 
+def _jitter(system: NDArray) -> float:
+    # The diagonal shift spd_solve adds to a refilled system before its retry.
+    return _JITTER_REL * float(np.concatenate(_diagonal(system)).sum()) / _packed_order(system)
+
+
 def spd_solve(system: NDArray, b: NDArray, refill=None) -> NDArray[np.float64]:
     """Solve A z = b for a packed symmetric positive definite A, factoring it in place.
 
@@ -381,9 +458,8 @@ def spd_solve(system: NDArray, b: NDArray, refill=None) -> NDArray[np.float64]:
         if refill is None:
             raise SpdSolveError("factorization failed and there is no refill", jitter=0.0) from exc
         refill(system)
-        diagonal = _diagonal(system)
-        jitter = _JITTER_REL * float(np.concatenate(diagonal).sum()) / n
-        for run in diagonal:
+        jitter = _jitter(system)
+        for run in _diagonal(system):
             run += jitter
         try:
             cho_factor(system)
@@ -403,15 +479,19 @@ def rkhs_norm_sq(f: RepresenterFunction) -> float:
 
 
 def rkhs_norm_diff(
-    f: RepresenterFunction, g: RepresenterFunction, g_sq: float | None = None
+    f: RepresenterFunction,
+    g: RepresenterFunction,
+    g_sq: float | None = None,
+    f_sq: float | None = None,
 ) -> float:
     """RKHS norm ||f - g||_K of two representer-form functions.
 
     Expands to the Gram quadratic form
     b_f' K_ff b_f - 2 b_f' K_fg b_g + b_g' K_gg b_g, clamped at zero before
     the square root since roundoff can leave a tiny negative residue. Each
-    term is evaluated as (b' K) b. g_sq, if given, is rkhs_norm_sq(g), so a
-    caller comparing many functions with one g assembles K_gg once.
+    term is evaluated as (b' K) b. g_sq and f_sq, if given, stand for
+    rkhs_norm_sq(g) and rkhs_norm_sq(f), so a caller that knows them (a
+    ridge fit's from its own system, for one) assembles only K_fg.
     """
     if f.kernel != g.kernel:
         raise ValueError(f"kernel configs differ: {f.kernel} vs {g.kernel}")
@@ -421,7 +501,7 @@ def rkhs_norm_diff(
         )
     bf, bg = f.coefficients, g.coefficients
     q = (
-        rkhs_norm_sq(f)
+        (rkhs_norm_sq(f) if f_sq is None else f_sq)
         - 2.0 * float(_gemv(gram_matrix(f.kernel, f.anchors, g.anchors), bf, left=True) @ bg)
         + (rkhs_norm_sq(g) if g_sq is None else g_sq)
     )

@@ -22,7 +22,9 @@ from .kernels import (
     KernelConfig,
     RepresenterFunction,
     TooFewRowsError,
+    _jitter,
     cho_factor,
+    family,
     lapack,
     ridge_system,
     spd_solve,
@@ -68,15 +70,19 @@ class LambdaSchedule:
 
 
 def fit_krr(data: Dataset, ridge: float, cfg: KernelConfig) -> RepresenterFunction:
-    """Fit KRR on one dataset; anchors are exactly the training covariates."""
+    """Fit KRR on one dataset; anchors are exactly the training covariates.
+
+    The fit's shift is n * ridge, plus spd_solve's jitter if it retried.
+    """
     if not ridge > 0:
         raise ValueError(f"ridge must be positive, got {ridge}")
     if data.n < 1:
         raise TooFewRowsError("need at least one observation")
     # One packed buffer of n(n+1)/2 entries holds the system, then its factor.
-    build = partial(ridge_system, cfg, data.x, data.n * ridge)
-    beta = spd_solve(build(), data.y, refill=build)
-    return RepresenterFunction(anchors=data.x, coefficients=beta, kernel=cfg)
+    build, jitter = partial(ridge_system, cfg, data.x, data.n * ridge), []
+    # A retry refills the system, then adds _jitter of it to the diagonal.
+    beta = spd_solve(build(), data.y, refill=lambda a: jitter.append(_jitter(build(a))))
+    return RepresenterFunction(data.x, beta, cfg, shift=data.n * ridge + sum(jitter))
 
 
 def _cg_steps(shifts: NDArray) -> NDArray[np.float64]:
@@ -164,6 +170,8 @@ def fit_krr_nested(data: Dataset, sizes, ridges, cfg: KernelConfig) -> tuple:
     short of the tolerance at the cap, or all if the factorization fails, is
     fit_krr too. Direct and fallback fits run after the factor is freed.
     Memory: the largest rung's packed system, rungs x n arrays.
+
+    The fits are returned as one kernels.family, each with its shift s_k.
     """
     sizes, ridges = np.asarray(sizes, dtype=int).ravel(), np.asarray(ridges, dtype=float).ravel()
     if ridges.shape != sizes.shape or not all(r > 0 and 1 <= k <= data.n for k, r in zip(sizes, ridges)):
@@ -172,8 +180,8 @@ def fit_krr_nested(data: Dataset, sizes, ridges, cfg: KernelConfig) -> tuple:
     n = sizes.max(initial=0)
     beta, done = _ladder(cfg, data.x[:n], data.y[:n], sizes[cg], (sizes * ridges)[cg]) if n else ((), ())
     solved = {int(i): b for i, b, ok in zip(cg, beta, done) if ok}
-    return tuple(
-        RepresenterFunction(data.x[:k], solved[i][:k], cfg) if i in solved
+    return family(
+        RepresenterFunction(data.x[:k], solved[i][:k], cfg, float(k * r)) if i in solved
         else fit_krr(Dataset(data.x[:k], data.y[:k]), float(r), cfg)
         for i, (k, r) in enumerate(zip(sizes, ridges))
     )

@@ -4,7 +4,9 @@ Step one pools the target sample with the transferable sources and fits
 KRR at the source-rate ridge; step two fits KRR at the debias-rate ridge
 on the target residuals of the pooled fit. The estimator is their sum, a
 WeightedSum of the two fits with unit weights. The no-debias ablation is
-step one alone, the pooled fit.
+step one alone, the pooled fit. The target's rows are rows of the pooled
+fit's own system, so their residuals come from it, with no kernel
+evaluated (RepresenterFunction.shift).
 """
 
 from __future__ import annotations
@@ -77,10 +79,20 @@ def fit_pooled(
 
 
 def fit_debias(
-    target: Dataset, pooled: RepresenterFunction, lambda2: float, cfg: KernelConfig, at=None
+    target: Dataset, pooled: RepresenterFunction, lambda2: float, cfg: KernelConfig, rows=None
 ) -> RepresenterFunction:
-    """Fit KRR on the target residuals y - pooled(x); at, if given, is pooled(target.x)."""
-    w = target.y - (pooled(target.x) if at is None else at)
+    """Fit KRR on the target residuals y - pooled(target.x).
+
+    rows, if given, index the pooled fit's anchors that are the target's
+    rows, in target order; the residuals are then pooled.shift *
+    pooled.coefficients[rows], from the pooled fit's own system, equal to
+    the evaluated ones up to the solve's own residual. Otherwise pooled is
+    evaluated.
+    """
+    if rows is None:
+        w = target.y - pooled(target.x)
+    else:
+        w = pooled.shift * pooled.coefficients[rows]
     return fit_krr(Dataset(x=target.x, y=w), lambda2, cfg)
 
 
@@ -91,12 +103,16 @@ def fit_ah_tkrr(
     lambda2: float,
     cfg: KernelConfig,
     pooled: RepresenterFunction | None = None,
+    rows=None,
 ) -> WeightedSum:
     """Two-step fit: pooled step at lambda1, debias step at lambda2.
 
     pooled, if given, is the pooled step already fitted (a fit of these
-    sources with target at lambda1), and fit_pooled is not called.
+    sources with target at lambda1), and fit_pooled is not called. rows
+    index its anchors that are the target's rows, in target order, for
+    fit_debias; by default the first target.n, where fit_pooled puts them.
     """
     if pooled is None:
         pooled = fit_pooled(target, sources, lambda1, cfg)
-    return WeightedSum((pooled, fit_debias(target, pooled, lambda2, cfg)), (1.0, 1.0))
+    rows = slice(0, target.n) if rows is None else rows
+    return WeightedSum((pooled, fit_debias(target, pooled, lambda2, cfg, rows)), (1.0, 1.0))

@@ -133,29 +133,43 @@ class TestRankContrasts:
         ranked = rank_contrasts(_dataset(rng, 5), [], SCHED, CFG)
         assert (ranked.m, ranked.nested_sets, ranked.candidates) == (0, ((),), ())
 
-    def test_target_gram_is_built_once(self, monkeypatch):
-        # The target-only fit's K(T1, T1) term is assembled once per ranking,
-        # not once per source, and the contrasts are bit for bit the
-        # per-source rkhs_norm_diff(source fit, target fit).
+    def test_no_square_gram_is_built(self, monkeypatch):
+        # Each fit's squared norm comes from its own system, so no square
+        # Gram (K(T1, T1) or a source's) is assembled: only each source's
+        # cross Gram with T1. The contrasts are the per-source
+        # rkhs_norm_diff(source fit, target fit) within 1e-12 relative, and
+        # bit for bit rkhs_norm_diff given the identity norms.
         rng = np.random.default_rng(427)
         t1 = _dataset(rng, 15, d=2)
         sources = [_dataset(rng, n, d=2) for n in (9, 11, 8, 13)]
         f0 = fit_krr(t1, schedule_lambda_source(15, SCHED), CFG)
-        square = []
+        grams = []
         real = kernels.gram_matrix
 
         def spy(cfg, x, x2=None):
-            if x2 is None and np.array_equal(x, t1.x):
-                square.append(1)
+            grams.append(x2 is None)
             return real(cfg, x, x2)
 
         monkeypatch.setattr(kernels, "gram_matrix", spy)
         ranked = rank_contrasts(t1, sources, SCHED, CFG, f0)
-        assert len(square) == 1
+        assert grams == [False] * len(sources)
         monkeypatch.setattr(kernels, "gram_matrix", real)
+        f0_sq = float(f0.coefficients @ (t1.y - f0.shift * f0.coefficients))
         for src, norm in zip(sources, ranked.contrast_norms):
             fk = fit_krr(src, schedule_lambda_source(src.n, SCHED), CFG)
-            assert norm == kernels.rkhs_norm_diff(fk, f0)
+            fk_sq = float(fk.coefficients @ (src.y - fk.shift * fk.coefficients))
+            assert norm == kernels.rkhs_norm_diff(fk, f0, f0_sq, fk_sq)
+            assert abs(norm - kernels.rkhs_norm_diff(fk, f0)) <= 1e-12 * norm
+
+    def test_identity_norms_match_the_gram_form(self):
+        # b.(y - s b) is b'Kb, the fit's squared RKHS norm, within 1e-12
+        # relative, for target and source fits alike.
+        rng = np.random.default_rng(428)
+        for n, d in ((15, 2), (40, 1), (120, 3)):
+            data = _dataset(rng, n, d)
+            f = fit_krr(data, schedule_lambda_source(n, SCHED), CFG)
+            want = kernels.rkhs_norm_sq(f)
+            assert abs(aggregate._norm_sq(f, data.y) - want) <= 1e-12 * want
 
 
 class TestBuildCandidates:
@@ -165,10 +179,9 @@ class TestBuildCandidates:
         # its schedule value with fit_krr on the same rows, and pooled
         # predictions against fit_pooled's index-order fit, both within
         # fit_krr_nested's 1e-12 relative bound. The debias step is bit for
-        # bit fit_debias on the same pooled object at the batched pooled
-        # values at T1 (one Gram of T1 against the top rung's rows times the
-        # zero-padded pooled coefficients), and predicts as fit_debias on
-        # that object's own values at T1 does, within the same bound.
+        # bit fit_debias on the same pooled object at T1's rows, the leading
+        # rows of its system, and predicts as fit_debias on that object's
+        # evaluated values at T1 does, within the same bound.
         rng = np.random.default_rng(407)
         t1 = _dataset(rng, 12)
         sources = [_dataset(rng, n) for n in (6, 9, 7)]
@@ -178,17 +191,12 @@ class TestBuildCandidates:
         f0 = fit_krr(t1, schedule_lambda_source(12, SCHED), CFG)
         cs = build_candidates(t1, sources, ranked, SCHED, CFG, f0, t2)
         assert len(cs.candidates) == 4
-        assert cs.candidates[0] is f0
+        assert cs.candidates[0].anchors is f0.anchors
+        assert np.array_equal(cs.candidates[0].coefficients, f0.coefficients)
         x_test = rng.random((30, 1))
 
         def close(got, want):
             return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-        anchors = cs.candidates[-1].parts[0].anchors
-        coef = np.zeros((3, anchors.shape[0]))
-        for row, model in zip(coef, cs.candidates[1:]):
-            row[: model.parts[0].coefficients.shape[0]] = model.parts[0].coefficients
-        at_t1 = kernels._gemm(kernels.gram_matrix(CFG, t1.x, anchors), coef)
 
         for level, model in enumerate(cs.candidates[1:], start=1):
             assert isinstance(model, WeightedSum)
@@ -205,7 +213,7 @@ class TestBuildCandidates:
             assert close(pooled(x_test), fit_pooled(t1, coll, lam1, CFG)(x_test))
             h = max(cs.contrast_norms[k - 1] for k in subset)
             lam2 = schedule_lambda_debias(12, h, SCHED)
-            batched = fit_debias(t1, pooled, lam2, CFG, at_t1[level - 1])
+            batched = fit_debias(t1, pooled, lam2, CFG, slice(0, 12))
             assert np.array_equal(debias.coefficients, batched.coefficients)
             assert np.array_equal(debias.anchors, t1.x)
             assert close(debias(x_test), fit_debias(t1, pooled, lam2, CFG)(x_test))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -337,10 +338,11 @@ class TestSharedStages:
 
     def test_shared_pooled_values_are_kept_per_array(self, monkeypatch):
         # A shared pooled fit is evaluated once on each array it is called
-        # on, matched by identity: the cell's target rows (by AhTKRR's debias
-        # step), its test grid, or any other array. The kept values are
-        # read-only and bit for bit a fresh evaluation; an equal copy of an
-        # array is another array.
+        # on, matched by identity: the cell's target rows, its test grid, or
+        # any other array. AhTKRR's debias step reads the target's residuals
+        # from the fit's system, so the fit has evaluated no array yet. The
+        # kept values are read-only and bit for bit a fresh evaluation; an
+        # equal copy of an array is another array.
         cfg = tiny_config(fixed=(("a_h", 2),))
         cell_seed, target, sources, transferable, x_test, _ = harness.build_cell(cfg, 0, 0)
         shared = {}
@@ -361,11 +363,11 @@ class TestSharedStages:
             kept = pooled(x)
             assert pooled(x) is kept and not kept.flags.writeable
             assert np.array_equal(kept, want[id(x)])
-        assert evaluated == [len(x_test)]
+        assert evaluated == [len(target.x), len(x_test)]
         copy = x_test.copy()
         assert np.array_equal(pooled(copy), want[id(x_test)])
         assert pooled(copy) is pooled(copy)
-        assert evaluated == [len(x_test)] * 2
+        assert evaluated == [len(target.x), len(x_test), len(x_test)]
 
     def test_no_debias_row_is_the_pooled_fit(self):
         cfg = tiny_config(fixed=(("a_h", 2),))
@@ -435,7 +437,8 @@ class TestRealDataSweep:
 
     def test_no_test_rows_raises_before_any_fit(self, tmp_path, monkeypatch):
         # n0 equal to the target's 30 rows leaves no test rows: a bad input
-        # that raises, not a sweep of failed fits.
+        # that raises, not a sweep of failed fits. run_sweep checks every
+        # sweep value once the studies are loaded, so no cell runs first.
         spec = SimSpec(example="ex1", s=0.2, m=1, n0=30, n_k=20)
         target, sources, _, _ = gen_scenario(spec, seed=6)
         studies = tuple(
@@ -454,7 +457,7 @@ class TestRealDataSweep:
             harness.build_cell(cfg, 1, 0)
         with pytest.raises(ValueError, match="n0=30"):
             run_sweep(cfg, threads=1)
-        assert len(fits) == len(cfg.methods) * cfg.replications  # the n0 = 20 cells only
+        assert fits == []
 
     def test_build_cell_uses_given_studies_and_drops_empty_sources(self, tmp_path):
         spec = SimSpec(example="ex1", s=0.2, m=2, n0=40, n_k=30)
@@ -703,7 +706,9 @@ class TestThreads:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        # run_sweep imports the pool class from concurrent.futures only when
+        # it starts one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         return started
 
     def test_argument_when_no_env(self, pools):

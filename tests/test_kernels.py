@@ -9,6 +9,7 @@ from tkrr.kernels import (
     KernelConfig,
     RepresenterFunction,
     SpdSolveError,
+    family,
     gram_matrix,
     ridge_system,
     rkhs_norm_diff,
@@ -436,3 +437,63 @@ class TestTypes:
         cfg = KernelConfig()
         f = RepresenterFunction(np.array([[0.0]]), np.array([2.0]), cfg)
         np.testing.assert_allclose(f([[0.0], [1.0]]), [2.0, 2.0 * np.exp(-1.0)])
+
+
+class TestFamily:
+    """A family evaluates all its members on an array at once and keeps the values."""
+
+    def _members(self, rng, cfg, sizes=(5, 40, 120, 120)):
+        anchors = rng.normal(size=(max(sizes), 2))
+        fits = [RepresenterFunction(anchors[:k], rng.normal(size=k), cfg, shift=0.5) for k in sizes]
+        return fits, family(fits)
+
+    def test_one_gram_per_array_and_values_match(self, monkeypatch):
+        # One gram_matrix call per array, against the widest anchors; each
+        # member's values are its own evaluation within 1e-13 relative, are
+        # read-only, and are read back for the same array. An equal copy
+        # is another array.
+        rng = np.random.default_rng(230)
+        cfg = KernelConfig(bandwidth=0.7)
+        fits, members = self._members(rng, cfg)
+        x = rng.normal(size=(90, 2))
+        wants = [RepresenterFunction(f.anchors, f.coefficients, cfg)(x) for f in fits]
+        grams = []
+        real = kernels.gram_matrix
+        monkeypatch.setattr(kernels, "gram_matrix", lambda c, x, x2=None: grams.append(x2.shape) or real(c, x, x2))
+        for f, member, want in zip(fits, members, wants):
+            got = member(x)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert not got.flags.writeable and np.shares_memory(member(x), got)
+            assert np.array_equal(member.anchors, f.anchors) and member.shift == 0.5
+        assert grams == [(120, 2)]
+        members[0](x.copy())
+        assert grams == [(120, 2)] * 2
+
+    def test_row_blocks(self, monkeypatch):
+        # Rows are evaluated in blocks of at most _FAMILY_ENTRIES entries,
+        # in whole multiples of 64 rows, with the same values within 1e-13.
+        rng = np.random.default_rng(231)
+        cfg = KernelConfig(bandwidth=0.7)
+        fits, members = self._members(rng, cfg)
+        x = rng.normal(size=(300, 2))
+        wants = [RepresenterFunction(f.anchors, f.coefficients, cfg)(x) for f in fits]
+        monkeypatch.setattr(kernels, "_FAMILY_ENTRIES", 128 * 120)
+        grams = []
+        real = kernels.gram_matrix
+        monkeypatch.setattr(kernels, "gram_matrix", lambda c, x, x2=None: grams.append(len(x)) or real(c, x, x2))
+        for member, want in zip(members, wants):
+            assert np.max(np.abs(member(x) - want)) <= 1e-13 * np.max(np.abs(want))
+        assert grams == [128, 128, 44]
+        assert members[0](np.zeros((0, 2))).shape == (0,)
+
+    def test_members_must_lead_one_anchor_array(self):
+        rng = np.random.default_rng(232)
+        cfg = KernelConfig()
+        f = RepresenterFunction(rng.normal(size=(4, 1)), rng.normal(size=4), cfg)
+        g = RepresenterFunction(rng.normal(size=(6, 1)), rng.normal(size=6), cfg)
+        with pytest.raises(ValueError, match="lead one anchor array"):
+            family([f, g])
+        h = RepresenterFunction(g.anchors[:3], rng.normal(size=3), KernelConfig(bandwidth=2.0))
+        with pytest.raises(ValueError, match="share a kernel"):
+            family([g, h])
+        assert family([]) == ()

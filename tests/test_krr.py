@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import lapack
 
 from tkrr import kernels, krr
-from tkrr.kernels import Dataset, KernelConfig, TooFewRowsError, gram_matrix
+from tkrr.kernels import Dataset, KernelConfig, RepresenterFunction, TooFewRowsError, gram_matrix
 from tkrr.krr import (
     H_FLOOR,
     LambdaSchedule,
@@ -161,6 +161,28 @@ class TestFitInvariants:
         a += 1e-10 * np.trace(a) / 300 * np.eye(300)
         assert np.array_equal(coef, rfp_solve(a, ds.y))
 
+    def test_values_at_own_rows_from_the_system(self):
+        # f(x_i) = y_i - s beta_i for the system (K + s I) beta = y that the
+        # fit solved: within 1e-12 relative of the Gram evaluation.
+        rng = np.random.default_rng(211)
+        for n, d, ridge in ((40, 1, 0.01), (200, 3, 0.002), (300, 2, 0.1)):
+            ds = Dataset(x=rng.random((n, d)), y=rng.normal(size=n))
+            f = fit_krr(ds, ridge, KernelConfig(bandwidth=0.5))
+            assert f.shift == n * ridge
+            want = RepresenterFunction(f.anchors, f.coefficients, f.kernel)(ds.x)
+            got = ds.y - f.shift * f.coefficients
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_jitter_is_part_of_the_shift(self, monkeypatch):
+        # A retried fit solved (K + (s + jitter) I) beta = y, so its shift
+        # carries the jitter spd_solve added: 1e-10 * trace / n.
+        rng = np.random.default_rng(212)
+        x = rng.normal(size=(150, 2))
+        ds = Dataset(x=np.concatenate([x, x]), y=rng.normal(size=300))
+        f = fit_krr(ds, 1e-20, KernelConfig())
+        s = 300 * 1e-20
+        assert abs(f.shift - (s + 1e-10 * (1.0 + s))) <= 1e-24
+
     def test_bad_ridge(self):
         ds = Dataset(x=np.zeros((2, 1)), y=np.ones(2))
         with pytest.raises(ValueError):
@@ -252,6 +274,20 @@ class TestFitKrrNested:
             for n_k in (200, 400, 600, 800, 1000, 1500)
         },
     }
+
+    def test_values_at_own_rows_from_the_system(self):
+        # Every rung, direct or CG, knows its shift s_k = sizes[k] * ridges[k],
+        # and y_k - s_k beta_k is its Gram evaluation at its own rows within
+        # 1e-12 relative.
+        rng = np.random.default_rng(226)
+        ridges = [self.SHIFTS["rising"](n) for n in self.SIZES]
+        ds, cfg, _, fits = _nested_case(rng, 3, self.SIZES, ridges)
+        assert _planned(self.SIZES, ridges) == [30, 90, 1]
+        for k, ridge, f in zip(self.SIZES, ridges, fits):
+            assert f.shift == k * ridge
+            want = RepresenterFunction(f.anchors, f.coefficients, cfg)(ds.x[:k])
+            got = ds.y[:k] - f.shift * f.coefficients
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), k
 
     def test_plan(self):
         # Direct rungs are a smallest-first prefix, never of the largest size;

@@ -138,7 +138,11 @@ class TestTwoStep:
             assert np.max(np.abs(p1 - p2)) <= 1e-12
 
     def test_records_ridges(self):
-        # Each step is the fit at its own ridge, bit for bit.
+        # Each step is the fit at its own ridge, bit for bit: the debias step
+        # fits the pooled fit's residuals at the target's rows, its leading
+        # rows, read from its own system. They are the evaluated residuals
+        # within 1e-12 relative, so the debias step predicts as a fit of
+        # those does within the same bound.
         rng = np.random.default_rng(310)
         target, sources = random_problem(rng)
         coll = SourceCollection(sources=sources, transferable=(1,))
@@ -148,9 +152,13 @@ class TestTwoStep:
         assert model.weights.tolist() == [1.0, 1.0]
         assert np.array_equal(pooled.coefficients, fit_pooled(target, coll, 0.3, cfg).coefficients)
         assert np.array_equal(
-            debias.coefficients, fit_debias(target, pooled, 0.07, cfg).coefficients
+            debias.coefficients, fit_debias(target, pooled, 0.07, cfg, slice(0, target.n)).coefficients
         )
         assert np.array_equal(debias.anchors, target.x)
+        evaluated = fit_debias(target, pooled, 0.07, cfg)
+        xq = rng.random((9, target.d))
+        want = evaluated(xq)
+        assert np.max(np.abs(debias(xq) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestNoDebiasVariant:
