@@ -22,10 +22,13 @@ from .kernels import (
     KernelConfig,
     RepresenterFunction,
     TooFewRowsError,
+    _gemv,
     _jitter,
+    blas,
     cho_factor,
     family,
     lapack,
+    low_rank_factor,
     ridge_system,
     spd_solve,
 )
@@ -45,6 +48,12 @@ H_FLOOR = 1e-3
 # A rung's CG stops at relative residual _CG_TOL, within _CG_CAP * sqrt(kappa) steps: more
 # than the sqrt(kappa)/2 * log(2 sqrt(kappa) / _CG_TOL) it needs for any kappa up to 1e6.
 _CG_TOL, _CG_CAP = 1e-14, 20
+# fit_krr tries the low-rank route from _LOW_RANK_ROWS rows on, with at most
+# n // _RANK_CAP pivots. An attempt that runs to that cap and fails costs
+# about a fifth of a dense fit from 768 rows on, and every ex1 Gram tried
+# needs a cap of 34 to 44 to certify (at rank 23 or 24): n // 16 is 48 from
+# 768 rows (README, "Low-rank Grams").
+_LOW_RANK_ROWS, _RANK_CAP = 768, 16
 
 
 @dataclass(frozen=True)
@@ -72,17 +81,36 @@ class LambdaSchedule:
 def fit_krr(data: Dataset, ridge: float, cfg: KernelConfig) -> RepresenterFunction:
     """Fit KRR on one dataset; anchors are exactly the training covariates.
 
-    The fit's shift is n * ridge, plus spd_solve's jitter if it retried.
+    Solves (K + s I) beta = y for s = n * ridge by one of two routes, chosen
+    from the input. From 768 rows on, kernels.low_rank_factor first tries
+    to certify K = G G' + E within n // 16 pivots, E positive semi-definite
+    with trace(E) <= n tau for tau gram_matrix's own entry error. If it
+    does, beta = (y - G z) / s for (s I + G'G) z = G'y, an r x r Cholesky
+    solve: the exact solution for G G' in place of K, so it differs from
+    the exact one for K by at most ||E|| / s <= n tau / s relative, the
+    bound the Gram's own rounding puts on the dense solve. Otherwise, or if
+    that r x r factor fails, the n x n packed system is built and factored
+    (spd_solve), and the fit's shift is s plus spd_solve's jitter if it
+    retried. Either way the shift is the s whose system the coefficients
+    solve.
     """
     if not ridge > 0:
         raise ValueError(f"ridge must be positive, got {ridge}")
     if data.n < 1:
         raise TooFewRowsError("need at least one observation")
+    s = data.n * ridge
+    if data.n >= _LOW_RANK_ROWS and (g := low_rank_factor(cfg, data.x, data.n // _RANK_CAP)) is not None:
+        # g is G'; the r x r system takes LAPACK's upper triangle of s I + G'G.
+        m = blas.dsyrk(1.0, g.T, trans=1)
+        m[np.diag_indices_from(m)] += s
+        _, z, info = lapack.dposv(m, _gemv(g, data.y), overwrite_a=1)
+        if info == 0:
+            return RepresenterFunction(data.x, (data.y - _gemv(g, z, left=True)) / s, cfg, shift=s)
     # One packed buffer of n(n+1)/2 entries holds the system, then its factor.
-    build, jitter = partial(ridge_system, cfg, data.x, data.n * ridge), []
+    build, jitter = partial(ridge_system, cfg, data.x, s), []
     # A retry refills the system, then adds _jitter of it to the diagonal.
     beta = spd_solve(build(), data.y, refill=lambda a: jitter.append(_jitter(build(a))))
-    return RepresenterFunction(data.x, beta, cfg, shift=data.n * ridge + sum(jitter))
+    return RepresenterFunction(data.x, beta, cfg, shift=s + sum(jitter))
 
 
 def _cg_steps(shifts: NDArray) -> NDArray[np.float64]:

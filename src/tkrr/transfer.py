@@ -86,8 +86,9 @@ def fit_debias(
     rows, if given, index the pooled fit's anchors that are the target's
     rows, in target order; the residuals are then pooled.shift *
     pooled.coefficients[rows], from the pooled fit's own system, equal to
-    the evaluated ones up to the solve's own residual. Otherwise pooled is
-    evaluated.
+    the evaluated ones up to the solve's own residual (for a low-rank
+    pooled fit, its certified truncation too, within n tau / s relative:
+    krr.fit_krr). Otherwise pooled is evaluated.
     """
     if rows is None:
         w = target.y - pooled(target.x)

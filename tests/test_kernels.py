@@ -221,6 +221,82 @@ class TestRidgeSystem:
             assert np.array_equal(out, ridge_system(cfg, x, 1.0))
 
 
+class TestLowRankFactor:
+    @staticmethod
+    def tau(x, bandwidth):
+        # gram_matrix's entry error for these rows, the factor's tolerance.
+        u = (x - x.mean(axis=0)) / np.sqrt(bandwidth)
+        return 4 * (x.shape[1] + 2) * np.finfo(np.float64).eps * (1 + 2 * (u * u).sum(axis=1).max())
+
+    @staticmethod
+    def pivot_rows(monkeypatch):
+        # (pivot, kernel row) for each row of K the factor assembles.
+        calls = []
+        real = kernels._kernel_block
+
+        def spy(a, rows, b, cols, out=None):
+            k = real(a, rows, b, cols, out)
+            calls.append((rows.start, k[0].copy()))
+            return k
+
+        monkeypatch.setattr(kernels, "_kernel_block", spy)
+        return calls
+
+    def test_certificate(self):
+        # K = G G' + E: E's diagonal is at most tau, so every entry of G G'
+        # is within 2 tau of the kernel (tau for the rows' own rounding), and
+        # E is positive semi-definite up to that rounding.
+        x = np.random.default_rng(230).random((400, 1))
+        cfg, tau = KernelConfig(bandwidth=0.05), self.tau(x, 0.05)
+        gt = kernels.low_rank_factor(cfg, x, 400)
+        assert gt.shape[1] == 400 and 20 <= gt.shape[0] <= 30
+        assert gt.flags.c_contiguous
+        e = np.exp(-cdist(x, x, "sqeuclidean") / 0.05) - gt.T @ gt
+        assert np.max(np.diag(e)) <= 2 * tau
+        assert np.max(np.abs(e)) <= 2 * tau
+        assert np.linalg.eigvalsh(e).min() >= -400 * tau
+        assert np.array_equal(gt, kernels.low_rank_factor(cfg, x, 400))
+
+    def test_pivot_rows_are_gram_matrix_rows(self, monkeypatch):
+        # Each pivot's row of K is gram_matrix's, bit for bit, from rows
+        # scaled once; the pivots are distinct rows.
+        x = np.random.default_rng(234).random((500, 2))
+        cfg = KernelConfig(bandwidth=0.3)
+        rows = self.pivot_rows(monkeypatch)
+        gt = kernels.low_rank_factor(cfg, x, 500)
+        monkeypatch.undo()
+        assert len(rows) == gt.shape[0] and len({p for p, _ in rows}) == len(rows)
+        for p, row in rows:
+            assert np.array_equal(row, gram_matrix(cfg, x[p : p + 1], x)[0])
+
+    def test_rows_grow_in_blocks(self):
+        x = np.random.default_rng(231).random((600, 1))
+        gt = kernels.low_rank_factor(KernelConfig(bandwidth=0.05), x, 600)
+        assert gt.base is not None and gt.shape[0] <= gt.base.shape[0] < 2 * gt.shape[0]
+
+    def test_high_rank_stops_at_pivot_8(self, monkeypatch):
+        # ex2mod-like rows: the largest residual diagonal has not fallen
+        # after 8 pivots, so the attempt ends there, whatever the cap.
+        x = np.random.default_rng(232).random((600, 3))
+        rows = self.pivot_rows(monkeypatch)
+        for cap in (37, 600):
+            rows.clear()
+            assert kernels.low_rank_factor(KernelConfig(bandwidth=0.1), x, cap) is None
+            assert len(rows) == 8
+
+    def test_gives_up_at_the_cap_or_a_projection_past_it(self, monkeypatch):
+        # These 1-d rows certify at rank 23. With a cap of 5 the attempt
+        # stops there; with 20 the rate of pivots 4 to 8 projects past it.
+        x = np.random.default_rng(233).random((600, 1))
+        cfg = KernelConfig(bandwidth=0.05)
+        assert 20 <= kernels.low_rank_factor(cfg, x, 600).shape[0] <= 26
+        rows = self.pivot_rows(monkeypatch)
+        for cap, taken in ((5, 5), (20, 8)):
+            rows.clear()
+            assert kernels.low_rank_factor(cfg, x, cap) is None
+            assert len(rows) == taken
+
+
 class TestSpdSolve:
     def test_closed_form_oracle(self):
         # [[2, a], [a, 2]] has inverse [[2, -a], [-a, 2]] / (4 - a^2)

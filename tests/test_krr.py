@@ -1,8 +1,13 @@
+import importlib.util
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from tkrr import kernels, krr
+from tkrr import harness, kernels, krr
 from tkrr.kernels import Dataset, KernelConfig, RepresenterFunction, TooFewRowsError, gram_matrix
 from tkrr.krr import (
     H_FLOOR,
@@ -132,16 +137,19 @@ class TestFitInvariants:
         assert np.array_equal(model.coefficients, rfp_solve(a, ds.y))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 127, 128, 129, 300, 700, 701])
-    def test_in_place_system_matches_explicit_matrix(self, n):
+    def test_in_place_system_matches_explicit_matrix(self, monkeypatch, n):
         # fit_krr builds its packed system in one buffer, 64 rows at a time,
         # and factors it there; the sizes cover odd and even layouts, the
-        # row blocks, and LAPACK's unblocked and blocked Cholesky.
+        # row blocks, and LAPACK's unblocked and blocked Cholesky. Every size
+        # is below the low-rank route's 768 rows, so every fit is dense.
         rng = np.random.default_rng(206)
         cfg = KernelConfig(bandwidth=1.7)
+        solves = _spy(monkeypatch, krr, "spd_solve")
         for d in (1, 10):
             ds = Dataset(x=rng.normal(size=(n, d)), y=rng.normal(size=n))
             a = gram_matrix(cfg, ds.x) + n * 0.01 * np.eye(n)
             assert np.array_equal(fit_krr(ds, 0.01, cfg).coefficients, rfp_solve(a, ds.y))
+        assert len(solves) == 2
 
     def test_jitter_retry_in_place_matches_explicit_matrix(self, monkeypatch):
         # 150 distinct rows, then the same rows again, at a ridge far below
@@ -192,6 +200,169 @@ class TestFitInvariants:
         ds = Dataset(x=np.zeros((0, 1)), y=np.zeros(0))
         with pytest.raises(TooFewRowsError):
             fit_krr(ds, 0.1, KernelConfig())
+
+
+def _spy(monkeypatch, module, name):
+    # Record the positional arguments of every call of module.name.
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def _ex1_like(n, seed):
+    # The 1-d ex1 design's rows at its bandwidth and the shipped source-rate
+    # ridge, as fit_krr's arguments.
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, 1))
+    y = 3.0 * np.sin(3.0 * np.pi * x[:, 0]) + rng.normal(0.0, 0.4, n)
+    return Dataset(x, y), schedule_lambda_source(n, LambdaSchedule(scale=0.1)), KernelConfig(bandwidth=0.05)
+
+
+class TestLowRankRoute:
+    def test_size_threshold_and_cap(self, monkeypatch):
+        # No attempt below 768 rows; from 768 on, at most n // 16 pivots.
+        # Both are derived from measured costs (README, "Low-rank Grams").
+        assert (krr._LOW_RANK_ROWS, krr._RANK_CAP) == (768, 16)
+        attempts = _spy(monkeypatch, krr, "low_rank_factor")
+        solves = _spy(monkeypatch, krr, "spd_solve")
+        for n in (767, 768, 1000):
+            fit_krr(*_ex1_like(n, 240))
+        assert [(len(x), cap) for _, x, cap in attempts] == [(768, 48), (1000, 62)]
+        assert [len(b) for _, b in solves] == [767]
+
+    @pytest.mark.parametrize("n", [800, 1700, 4500])
+    def test_matches_dense_route_within_certified_bound(self, monkeypatch, n):
+        # fit_krr takes the low-rank route, solving (G G' + s I) beta = y;
+        # the dense route solves (K + s I) beta = y. Each is within n tau / s
+        # of the exact solution for K, relative, so they are within twice
+        # that of each other, and so are their predictions.
+        ds, ridge, cfg = _ex1_like(n, 241)
+        solves = _spy(monkeypatch, krr, "spd_solve")
+        f = fit_krr(ds, ridge, cfg)
+        assert solves == [] and f.shift == n * ridge
+        dense = kernels.spd_solve(kernels.ridge_system(cfg, ds.x, n * ridge), ds.y)
+        u = (ds.x - ds.x.mean()) / np.sqrt(cfg.bandwidth)
+        tau = 12 * np.finfo(np.float64).eps * (1 + 2 * np.max(u * u))
+        bound = 2 * n * tau / f.shift
+        assert np.linalg.norm(f.coefficients - dense) <= bound * np.linalg.norm(dense)
+        x_test = np.linspace(0.0, 1.0, 300)[:, None]
+        want = RepresenterFunction(ds.x, dense, cfg)(x_test)
+        assert np.max(np.abs(f(x_test) - want)) <= bound * np.max(np.abs(want))
+        # Values at the fit's own rows come from its system: y - s beta.
+        got = ds.y - f.shift * f.coefficients
+        assert np.max(np.abs(got - f(ds.x))) <= bound * np.max(np.abs(got))
+
+    def test_duplicate_rows_need_no_jitter(self, monkeypatch):
+        # 400 rows twice at a ridge where the dense system fails to factor and
+        # is retried with jitter; the low-rank route solves at s itself, and
+        # the fit takes the same value at a row and its copy.
+        rng = np.random.default_rng(242)
+        x = np.concatenate([rng.random((400, 1))] * 2)
+        ds = Dataset(x, np.sin(6.0 * x[:, 0]) + rng.normal(0.0, 0.1, 800))
+        cfg, ridge = KernelConfig(), 1e-17
+        factors = _spy(monkeypatch, kernels, "cho_factor")
+        build = lambda a=None: kernels.ridge_system(cfg, ds.x, 800 * ridge, a)
+        kernels.spd_solve(build(), ds.y, refill=build)
+        assert len(factors) == 2
+        factors.clear()
+        solves = _spy(monkeypatch, krr, "spd_solve")
+        f = fit_krr(ds, ridge, cfg)
+        assert solves == [] and factors == [] and f.shift == 800 * ridge
+        assert np.all(np.isfinite(f.coefficients))
+        own = ds.y - f.shift * f.coefficients
+        assert np.max(np.abs(own[:400] - own[400:])) <= 1e-12
+
+
+def _load_workloads():
+    # perfbench/workloads.py, which writes the benchmark's configs and studies.
+    if "workloads" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        sys.modules["workloads"] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules["workloads"]
+
+
+class TestShippedRoutes:
+    # Per sweep value, how many fit_krr calls of each row count take each
+    # route in replication 0: "low-rank", "dense" (no attempt, below 768
+    # rows), or "failed" (an attempt that gave up, then the dense route).
+    # Every shipped low-rank Gram certifies at rank 23 or 24, and every
+    # failed attempt stops after 8 pivots.
+    EX1 = {(200, "dense"): 2, (1700, "low-rank"): 1}
+    ROUTES = {
+        "fig3": dict.fromkeys((0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45), EX1),
+        "fig4": {
+            0: {(200, "dense"): 3},
+            2: {(200, "dense"): 2, (500, "dense"): 1},
+            **{a_h: {(200, "dense"): 2, (200 + 150 * a_h, "low-rank"): 1} for a_h in (4, 6, 8, 10)},
+        },
+        "fig5": {
+            200: EX1,
+            1000: {(1000, "low-rank"): 2, (2500, "low-rank"): 1},
+            3000: {(3000, "low-rank"): 2, (4500, "low-rank"): 1},
+        },
+        "fig6": {
+            0: {(300, "dense"): 7, (600, "dense"): 4},
+            5: {(300, "dense"): 17, (600, "dense"): 4, (900, "failed"): 1},
+            10: {(300, "dense"): 27, (600, "dense"): 4, (900, "failed"): 1, (1200, "failed"): 1},
+        },
+        "known-ex1": {0.05: EX1, 0.45: EX1},
+        "unknown-ex2mod": {
+            10: {(200, "dense"): 27, (400, "dense"): 4, (600, "dense"): 1, (800, "failed"): 1, (1000, "failed"): 1},
+        },
+        "csv-studies": {300: {(75, "dense"): 5, (150, "dense"): 3, (300, "dense"): 4, (375, "dense"): 1}},
+    }
+
+    @staticmethod
+    def routes(monkeypatch, cfg, v_index):
+        # (rows, route, pivots taken) of every fit_krr call in the cell.
+        out, pivots = [], []
+        real_block, real_factor, real_solve = kernels._kernel_block, krr.low_rank_factor, krr.spd_solve
+
+        def block(*a, **k):
+            pivots.append(1)
+            return real_block(*a, **k)
+
+        def factor(cfg, x, cap):
+            pivots.clear()
+            monkeypatch.setattr(kernels, "_kernel_block", block)
+            g = real_factor(cfg, x, cap)
+            monkeypatch.setattr(kernels, "_kernel_block", real_block)
+            out.append([len(x), "failed" if g is None else "low-rank", len(pivots)])
+            return g
+
+        def solve(a, b, refill=None):
+            if out and out[-1][:2] == [len(b), "failed"]:
+                out[-1].append("solved")
+            else:
+                out.append([len(b), "dense", 0])
+            return real_solve(a, b, refill)
+
+        monkeypatch.setattr(krr, "low_rank_factor", factor)
+        monkeypatch.setattr(krr, "spd_solve", solve)
+        harness._run_cell(cfg, v_index, 0)
+        monkeypatch.undo()
+        # A failed attempt is followed by its dense solve.
+        assert all(r[3:] == ["solved"] for r in out if r[1] == "failed")
+        return out
+
+    @pytest.mark.parametrize("name", list(ROUTES))
+    def test_routes(self, name, monkeypatch, tmp_path):
+        if name.startswith("fig"):
+            cfg = harness.config_from_json(f"{Path(__file__).resolve().parents[1]}/configs/{name}.json")
+        else:
+            cfg = harness.config_from_json(_load_workloads().build(name, 101, tmp_path).config_path)
+        assert cfg.sweep_values == tuple(self.ROUTES[name])
+        for v_index, (value, want) in enumerate(self.ROUTES[name].items()):
+            got = self.routes(monkeypatch, cfg, v_index)
+            assert Counter((n, route) for n, route, *_ in got) == want, value
+            for n, route, pivots, *_ in got:
+                if route == "low-rank":
+                    assert pivots in (23, 24), (value, n)
+                elif route == "failed":
+                    assert pivots == 8, (value, n)
 
 
 def _spy_fit_krr(monkeypatch):

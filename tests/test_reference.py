@@ -3,15 +3,15 @@
 The program's Cholesky-free packed systems, candidate ladder, batched and
 kept values and residuals read from solved systems must give each method's
 test_error within 1e-10 relative of the plain definitions, and SA_TKRR the
-same pair with its weight within 1e-8, on small ex2mod cells and on one
-CSV-studies cell.
+same pair with its weight within 1e-8, on small ex2mod cells, on an ex1
+cell whose fits take the low-rank route, and on one CSV-studies cell.
 """
 
 import numpy as np
 import pytest
 import reference
 
-from tkrr import harness
+from tkrr import harness, krr
 from tkrr.datasets import StudyConfig
 from tkrr.harness import METHODS, ExperimentConfig, run_sweep
 from tkrr.kernels import KernelConfig
@@ -62,6 +62,35 @@ def test_ex2mod_cells(seed, monkeypatch):
         fixed=(("a_h", 2),),
     )
     _check(cfg, monkeypatch)
+
+
+def test_ex1_low_rank_cell(monkeypatch):
+    # A known-set ex1 cell from 768 rows up: the target (800 rows), the
+    # known pooled fit (1100) and SA's refits take fit_krr's low-rank route,
+    # which must match the dense oracle as closely as the dense route does.
+    cfg = ExperimentConfig(
+        scenario=SimSpec(example="ex1", s=0.1, m=3, n0=800, n_k=150, n_te=200),
+        methods=METHODS,
+        sweep_name="n0",
+        sweep_values=(800,),
+        replications=1,
+        seed=4,
+        schedules=LambdaSchedule(scale=0.1),
+        kernel=KernelConfig(bandwidth=0.05),
+        fixed=(("a_h", 2),),
+    )
+    certified = []
+    real = krr.low_rank_factor
+
+    def factor(*args):
+        g = real(*args)
+        if g is not None:
+            certified.append(len(args[1]))
+        return g
+
+    monkeypatch.setattr(krr, "low_rank_factor", factor)
+    _check(cfg, monkeypatch)
+    assert {800, 1100} <= set(certified)
 
 
 def test_csv_studies_cell(tmp_path, monkeypatch):
