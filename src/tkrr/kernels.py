@@ -10,14 +10,16 @@ the families that evaluate several expansions over one anchor array
 together, and the RKHS norm of a difference of two expansions. Ridge
 systems are held in LAPACK's rectangular full packed format (Gustavson,
 Wasniewski, Dongarra and Langou 2010): one triangle in n(n+1)/2 entries,
-factored by a level-3 Cholesky. Gram blocks and kernel matrix-vector
+factored by a level-3 Cholesky; the candidate ladder's Gram is held in
+row panels whose blocks SciPy's BLAS reads in place, and is never
+factored. Gram blocks and kernel matrix-vector
 products run in SciPy's BLAS too, the OpenBLAS that factors: a block's
 squared distances are ||a||^2 + ||b||^2 - 2 a.b over centred rows, the
 cross term one dgemm.
 
-The eight routines tkrr calls (dgemm, dgemv, ddot, dpftrf and dpftrs here,
-and dtfsm, dsyrk and dposv, which krr calls through this module's blas and
-lapack) are SciPy's f2py wrappers, the very objects
+The nine routines tkrr calls (dgemm, dgemv, ddot, dpftrf and dpftrs here,
+and dsyrk, dposv, dpotrf and dpotrs, which krr calls through this module's
+blas and lapack) are SciPy's f2py wrappers, the very objects
 scipy.linalg.blas and scipy.linalg.lapack re-export, loaded straight from
 the extension modules scipy.linalg._fblas and scipy.linalg._flapack.
 Importing the scipy.linalg package instead would run its __init__, whose
@@ -431,6 +433,79 @@ def ridge_system(
     return a
 
 
+def _gram_panels(rows) -> list:
+    # K(x, x) for rows = _scaled_rows of x, as row panels of _BLOCK_ROWS
+    # rows: panel j holds rows j0 = 64 j .. j1 - 1 against columns 0 .. j1 - 1,
+    # F-ordered, so the whole panel and its block left of the diagonal
+    # (its leading j0 columns) are each a contiguous Fortran array that
+    # SciPy's BLAS reads in place. n(n + 64)/2 entries in all, each written
+    # once: K is symmetric, so a panel is the transpose of the block of
+    # rows 0 .. j1 - 1 against its columns, assembled into its own buffer.
+    # The diagonal is exactly 1.
+    n = rows[1].shape[0] - _PAD + 1
+    panels = []
+    for j0 in range(0, n, _BLOCK_ROWS):
+        j1 = min(j0 + _BLOCK_ROWS, n)
+        block = _kernel_block(rows, slice(0, j1), rows, slice(j0, j1), np.empty((j1, j1 - j0)))
+        np.fill_diagonal(block[j0:], 1.0)
+        panels.append(block.T)
+    return panels
+
+
+def _panels_times(panels: list, v: NDArray, sizes: NDArray) -> NDArray[np.float64]:
+    # K_k v_k for each column v_k of v (n x c, C-ordered), K_k the leading
+    # sizes[k] rows and columns of the panels' K. The sizes do not increase
+    # and each v_k is zero past sizes[k], as is its product. A panel
+    # multiplies only the columns whose rows reach it: panels that multiply
+    # the same columns share one contiguous copy of them, and two dgemm
+    # calls per panel (its rows, then its left block's transpose for the
+    # rows above) read it in place.
+    n, width = v.shape
+    out = np.zeros(v.shape)
+    reach = np.searchsorted(-sizes, -np.arange(0, n, _BLOCK_ROWS))
+    for c in np.unique(reach[reach > 0])[::-1]:
+        group = np.flatnonzero(reach == c)
+        rows = panels[group[-1]].shape[1]
+        vc, oc = (v[:rows], out[:rows]) if c == width else (np.ascontiguousarray(v[:rows, :c]), np.zeros((rows, c)))
+        for j in group:
+            j0, j1 = j * _BLOCK_ROWS, panels[j].shape[1]
+            blas.dgemm(1.0, vc[:j1].T, panels[j], trans_b=1, beta=1.0, c=oc[j0:j1].T, overwrite_c=1)
+            if j0:
+                blas.dgemm(1.0, vc[j0:j1].T, panels[j][:, :j0], beta=1.0, c=oc[:j0].T, overwrite_c=1)
+        if c < width:
+            out[:rows, :c] += oc
+    for col, size in zip(out.T, sizes):
+        col[size:] = 0.0
+    return out
+
+
+def _pivots(rows, max_rank: int, stop):
+    # The greedy pivoted Cholesky of K(x, x) that low_rank_factor and krr's
+    # candidate ladder share, for rows = _scaled_rows of x. Before pivot k,
+    # stop(tops) sees the largest residual diagonals tops[0..k]; at
+    # max_rank pivots or once stop holds, it returns G' (k x n), tops and
+    # the residual diagonal.
+    n = rows[1].shape[0] - _PAD + 1
+    resid, tops, gt = np.ones(n), [], np.empty((0, n))
+    for k in range(max_rank + 1):
+        p = int(resid.argmax())
+        tops.append(float(resid[p]))
+        if k == max_rank or stop(tops):
+            return gt[:k], tops, resid
+        if k == gt.shape[0]:
+            # The new rows are not touched until pivots fill them, so an
+            # attempt that gives up at pivot 8 writes 8 rows of its first 16.
+            grown = np.empty((k + min(max(k, _PAD), max_rank - k), n))
+            grown[:k] = gt
+            gt = grown
+        # Row p of K, written into row k of G', less the earlier pivots' part.
+        row = _kernel_block(rows, slice(p, p + 1), rows, slice(0, n), gt[k : k + 1])[0]
+        row -= _gemv(gt[:k], gt[:k, p], left=True)
+        row /= np.sqrt(tops[k])
+        resid -= row * row
+        resid[p] = 0.0
+
+
 def low_rank_factor(cfg: KernelConfig, x: NDArray, max_rank: int) -> NDArray[np.float64] | None:
     """G' for a certified K(x, x) = G G' + E, G of at most max_rank columns, or None.
 
@@ -451,35 +526,22 @@ def low_rank_factor(cfg: KernelConfig, x: NDArray, max_rank: int) -> NDArray[np.
 
     G' is r x n and C-ordered, a view of rows allocated in blocks as the
     pivots grow, not max_rank rows up front: at most max(16, 2r) rows, each
-    touched only once a pivot fills it.
+    touched only once a pivot fills it. The pivot loop is the one the
+    candidate ladder's preconditioner takes (krr.fit_krr_nested).
     """
     xm = _as_matrix(x)
-    n = xm.shape[0]
     rows = _scaled_rows(cfg, xm, xm.mean(axis=0))
     tol = 4 * (xm.shape[1] + 2) * np.finfo(np.float64).eps * (1.0 - 2.0 * float(rows[1].min()))
-    resid, tops, gt = np.ones(n), [], np.empty((0, n))
-    for k in range(max_rank + 1):
-        p = int(resid.argmax())
-        tops.append(float(resid[p]))
-        if tops[k] <= tol:
-            return gt[:k]
+
+    def stop(tops):
+        k = len(tops) - 1
         rate = tops[k] / tops[k // 2]
-        if k == max_rank or (k >= _RATE_PIVOTS and k & (k - 1) == 0 and (
+        return tops[k] <= tol or (k >= _RATE_PIVOTS and k & (k - 1) == 0 and (
             rate >= 1.0 or k + k // 2 * np.log(tol / tops[k]) / np.log(rate) > max_rank
-        )):
-            return None
-        if k == gt.shape[0]:
-            # The new rows are not touched until pivots fill them, so an
-            # attempt that gives up at pivot 8 writes 8 rows of its first 16.
-            grown = np.empty((k + min(max(k, _PAD), max_rank - k), n))
-            grown[:k] = gt
-            gt = grown
-        # Row p of K, written into row k of G', less the earlier pivots' part.
-        row = _kernel_block(rows, slice(p, p + 1), rows, slice(0, n), gt[k : k + 1])[0]
-        row -= _gemv(gt[:k], gt[:k, p], left=True)
-        row /= np.sqrt(tops[k])
-        resid -= row * row
-        resid[p] = 0.0
+        ))
+
+    gt, tops, _ = _pivots(rows, max_rank, stop)
+    return gt if tops[-1] <= tol else None
 
 
 def cho_factor(system: NDArray) -> None:

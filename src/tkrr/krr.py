@@ -3,7 +3,8 @@
 fit_krr solves the representer system (K + n*lambda*I) beta = y, which is
 the first-order condition of the 1/n squared loss plus lambda times the
 squared RKHS norm; fit_krr_nested fits nested leading row blocks of one
-dataset. The two schedule functions map sample sizes to ridge levels at
+dataset together, by preconditioned conjugate gradients on one Gram. The
+two schedule functions map sample sizes to ridge levels at
 the smoothness/eigendecay rates used throughout the estimators: the
 source-sample rate for pooled fits and the bias-aware rate for the debias
 step.
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .kernels import (
     Dataset,
@@ -23,9 +23,12 @@ from .kernels import (
     RepresenterFunction,
     TooFewRowsError,
     _gemv,
+    _gram_panels,
     _jitter,
+    _panels_times,
+    _pivots,
+    _scaled_rows,
     blas,
-    cho_factor,
     family,
     lapack,
     low_rank_factor,
@@ -37,7 +40,6 @@ __all__ = [
     "LambdaSchedule",
     "fit_krr",
     "fit_krr_nested",
-    "plan_direct",
     "schedule_lambda_source",
     "schedule_lambda_debias",
 ]
@@ -45,9 +47,15 @@ __all__ = [
 # Plug-in similarity estimates can collapse to zero on easy scenarios; the
 # debias schedule floors them so the exponent never blows up.
 H_FLOOR = 1e-3
-# A rung's CG stops at relative residual _CG_TOL, within _CG_CAP * sqrt(kappa) steps: more
-# than the sqrt(kappa)/2 * log(2 sqrt(kappa) / _CG_TOL) it needs for any kappa up to 1e6.
+# A rung's PCG stops at relative residual _CG_TOL, within _CG_CAP * sqrt(kappa)
+# steps for kappa its preconditioned condition number's bound: more than the
+# sqrt(kappa)/2 * log(2 sqrt(kappa) / _CG_TOL) it needs for any kappa up to
+# 1e6. It never takes more than n, the steps of CG in exact arithmetic.
 _CG_TOL, _CG_CAP = 1e-14, 20
+# The ladder's preconditioner takes at most n // _PIVOT_SHARE pivots, so G'
+# holds at most n^2 / 32 entries: 2.2 MB at 3,000 rows (README, "The
+# candidate ladder", times the alternatives).
+_PIVOT_SHARE = 32
 # fit_krr tries the low-rank route from _LOW_RANK_ROWS rows on, with at most
 # n // _RANK_CAP pivots. An attempt that runs to that cap and fails costs
 # about a fifth of a dense fit from 768 rows on, and every ex1 Gram tried
@@ -113,105 +121,100 @@ def fit_krr(data: Dataset, ridge: float, cfg: KernelConfig) -> RepresenterFuncti
     return RepresenterFunction(data.x, beta, cfg, shift=s + sum(jitter))
 
 
-def _cg_steps(shifts: NDArray) -> NDArray[np.float64]:
-    # CG steps per rung on a factor at c = sqrt(min s * max s), as plan_direct
-    # models them.
-    c = np.sqrt(shifts.min() * shifts.max())
-    root = np.sqrt(np.maximum(c / shifts, shifts / c))
-    return root / 2.0 * np.log(2.0 * root / _CG_TOL)
-
-
-def plan_direct(sizes, shifts) -> NDArray[np.bool_]:
-    """Which rungs fit_krr_nested fits with fit_krr on their own rows, not by CG.
-
-    The j smallest rungs (ties in rung order) go direct, for the j that
-    minimises an empirical cost proxy: sizes[k]^3 / 3 per direct rung, plus
-    2 N^2 per CG step of each other rung on the factor of order N = max
-    sizes. Rung k takes sqrt(kappa_k)/2 * log(2 sqrt(kappa_k) / _CG_TOL)
-    steps, where kappa_k = max(c / s_k, s_k / c) and c = sqrt(min s * max s)
-    over the CG rungs, so dropping the smallest shifts brings c and the
-    steps down. A rung of N rows never goes direct, since the factor is its
-    own; ties go to fewer direct rungs.
-
-    The CG term is not the time _ladder spends. It counts each rung's steps
-    as a solve of its own, but _ladder advances every active rung in one
-    memory-bound pass over the factor per step, so the term overstates that
-    time by about the number of rungs, and it is weighed against the
-    compute-bound flops of the direct factors. Its picks were timed only on
-    two ladder shapes, SA's at unknown-ex2mod and at fig6's m = 10 sizes
-    (README, "The candidate ladder"), where they land in the fastest range;
-    a count of passes (most steps times 2 N^2) picks one rung or none there,
-    which timed slower. Its picks for the other shipped shapes are pinned
-    by tests, not timed.
-    """
-    sizes, shifts = np.asarray(sizes, dtype=int).ravel(), np.asarray(shifts, dtype=float).ravel()
-    best, direct = np.inf, np.zeros(sizes.shape, dtype=bool)
-    if not sizes.size:
-        return direct
-    order, n = np.argsort(sizes, kind="stable"), float(sizes.max())
-    for j in range(np.count_nonzero(sizes < n) + 1):
-        d = np.zeros(sizes.shape, dtype=bool)
-        d[order[:j]] = True
-        flops = (sizes[d] ** 3.0).sum() / 3.0 + 2.0 * n * n * _cg_steps(shifts[~d]).sum()
-        if flops < best:
-            best, direct = flops, d
-    return direct
-
-
 def _ladder(cfg: KernelConfig, x, y, sizes, shifts):
-    # Rows beta_k, zero past sizes[k], and which rungs met the tolerance.
-    c = np.sqrt(shifts.min() * shifts.max())
-    try:
-        cho_factor(factor := ridge_system(cfg, x, c))
-    except np.linalg.LinAlgError:
-        return (), np.zeros(len(sizes), dtype=bool)
-    flat, past = factor.reshape(-1, order="F"), np.arange(len(y)) >= sizes[:, None]
+    # Rows beta_k, zero past sizes[k]; which rungs met the tolerance; each
+    # rung's PCG steps; and the preconditioner's rank r.
+    n = len(y)
+    rows = _scaled_rows(cfg, x, x.mean(axis=0))
+    # G' grows before the panels exist, so its growth adds nothing to the peak.
+    gt, _, resid = _pivots(rows, n // _PIVOT_SHARE, lambda tops: tops[-1] <= _CG_TOL * shifts.min())
+    panels, r = _gram_panels(rows), gt.shape[0]
+    # (s I + G G')^-1 = (I - G (s I + G'G)^-1 G') / s for G = gt.T, so each
+    # rung factors s_k I + G_k'G_k, G_k'G_k summed over G's rows by segment.
+    factors, gram, done = {}, np.zeros((r, r)), 0
+    for k in np.argsort(sizes, kind="stable"):
+        if r and sizes[k] > done:
+            gram += blas.dsyrk(1.0, gt[:, done : sizes[k]])
+            done = sizes[k]
+        factor, info = lapack.dpotrf(gram + shifts[k] * np.eye(r), overwrite_a=1) if r else (None, 0)
+        if info == 0:
+            factors[k] = factor
 
-    def solve(v, rungs):  # v[i] times M_k^-1 for k = rungs[i], in place:
-        t = lapack.dtfsm(1.0, flat, v.T, uplo="L", trans="N", overwrite_b=1)
-        t.T[past[rungs]] = 0.0  # L^-1, the rows past each block cut, L^-T
-        return lapack.dtfsm(1.0, flat, t, uplo="L", trans="T", overwrite_b=1).T
+    def precondition(res, act):
+        if not r:
+            return res / shifts[act]
+        t = blas.dgemm(1.0, gt.T, res.T, trans_a=1, trans_b=1)  # G'res, r x c
+        for i, k in enumerate(act):
+            t[:, i] = lapack.dpotrs(factors[k], t[:, i])[0]
+        u = blas.dgemm(1.0, t, gt.T, trans_a=1, trans_b=1).T  # G t, n x c
+        for col, size in zip(u.T, sizes[act]):
+            col[size:] = 0.0
+        return (res - u) / shifts[act]
 
-    res = np.where(past, 0.0, y)
-    w, p, rr = np.zeros_like(res), res.copy(), np.einsum("ij,ij->i", res, res)
-    stop = _CG_TOL**2 * rr
-    for _ in range(int(np.ceil(_CG_CAP * np.sqrt(c / shifts.min())))):
-        if (a := np.flatnonzero(rr > stop)).size == 0:
+    def dots(a, b):
+        return np.einsum("ij,ij->j", a, b)
+
+    # Column i of each state array is rung act[i]'s, largest rungs first.
+    act = np.array([k for k in np.argsort(-sizes, kind="stable") if k in factors], dtype=int)
+    res = np.where(np.arange(n)[:, None] < sizes[act], y[:, None], 0.0)
+    state = np.stack([res, np.zeros_like(res), precondition(res, act)])  # residual, beta, direction
+    stop, rz = _CG_TOL**2 * dots(res, res), dots(res, state[2])
+    beta, steps = np.zeros((len(sizes), n)), np.zeros(len(sizes), dtype=int)
+    solved = np.zeros(len(sizes), dtype=bool)
+    kappa = 1.0 + max(np.maximum(resid[:k], 0.0).sum() / s for k, s in zip(sizes, shifts))
+    cap = min(n, int(np.ceil(_CG_CAP * np.sqrt(kappa))))
+    for step in range(cap + 1):
+        res, w, p = state
+        if (met := dots(res, res) <= stop).any():
+            beta[act[met]], steps[act[met]], solved[act[met]] = w[:, met].T, step, True
+            act, stop, rz = act[~met], stop[~met], rz[~met]
+            state = np.ascontiguousarray(state[:, :, ~met])
+            res, w, p = state
+        if not act.size or step == cap:
             break
-        q = (pa := p[a]) - (c - shifts[a])[:, None] * solve(p[a], a)
-        alpha = rr[a] / np.einsum("ij,ij->i", pa, q)
-        w[a] += alpha[:, None] * pa
-        res[a] -= alpha[:, None] * q
-        ra = np.einsum("ij,ij->i", res[a], res[a])
-        p[a], rr[a] = res[a] + (ra / rr[a])[:, None] * pa, ra
-    return solve(w, slice(None)), rr <= stop
+        q = _panels_times(panels, p, sizes[act]) + shifts[act] * p
+        alpha = rz / dots(p, q)
+        w += alpha * p
+        res -= alpha * q
+        z = precondition(res, act)
+        rz, last = dots(res, z), rz
+        p *= rz / last
+        p += z
+    steps[act] = cap
+    return beta, solved, steps, r
 
 
 def fit_krr_nested(data: Dataset, sizes, ridges, cfg: KernelConfig) -> tuple:
     """Fit k is KRR on the first sizes[k] rows of data at ridge ridges[k].
 
-    The rungs plan_direct picks for shifts s_k = sizes[k] * ridges[k] are
-    fit_krr itself. For the others and c = sqrt(min s * max s) over them, one
-    Cholesky factor of K + c I holds each M_k = K_k + c I as a leading block.
-    Rung k runs CG on (I - (c - s_k) M_k^-1) w = y_k, a spectrum in [1/kappa,
-    kappa] for kappa = sqrt(max s / min s), and beta_k = M_k^-1 w. A rung
-    short of the tolerance at the cap, or all if the factorization fails, is
-    fit_krr too. Direct and fallback fits run after the factor is freed.
-    Memory: the largest rung's packed system, rungs x n arrays.
+    Every rung solves its exact system (K_k + s_k I) beta_k = y_k, for
+    s_k = sizes[k] * ridges[k] and K_k the leading block of the largest
+    rung's Gram K, by preconditioned conjugate gradients. K is assembled
+    once, in row panels of n(n + 64)/2 entries; nothing is factored at
+    n x n. One greedy pivoted Cholesky K = G G' + E of at most n // 32
+    pivots, E positive semi-definite (kernels.low_rank_factor's pivot loop),
+    gives rung k the preconditioner (s_k I + G_k G_k')^-1 for G_k the first
+    sizes[k] rows of G, applied through an r x r Cholesky factor (Woodbury).
+    K_k - G_k G_k' is a leading block of E, so the preconditioned spectrum
+    lies in [1, 1 + ||E_k|| / s_k]. The rungs step together, one pass over
+    the panels and one preconditioner apply per step, to relative residual
+    1e-14. A rung that misses it within min(n, 20 sqrt(kappa)) steps, for
+    kappa = 1 + max over rungs of trace(E_k) / s_k, or whose r x r factor
+    fails, is fit_krr on its rows, jitter retry included, after the panels
+    are freed. Memory: the panels, G's n^2 / 32 entries at most, and a few
+    rungs x n arrays.
 
     The fits are returned as one kernels.family, each with its shift s_k.
     """
     sizes, ridges = np.asarray(sizes, dtype=int).ravel(), np.asarray(ridges, dtype=float).ravel()
     if ridges.shape != sizes.shape or not all(r > 0 and 1 <= k <= data.n for k, r in zip(sizes, ridges)):
         raise ValueError(f"need positive ridges for sizes in 1..{data.n}: {sizes}, {ridges}")
-    cg = np.flatnonzero(~plan_direct(sizes, sizes * ridges))
     n = sizes.max(initial=0)
-    beta, done = _ladder(cfg, data.x[:n], data.y[:n], sizes[cg], (sizes * ridges)[cg]) if n else ((), ())
-    solved = {int(i): b for i, b, ok in zip(cg, beta, done) if ok}
+    beta, solved = _ladder(cfg, data.x[:n], data.y[:n], sizes, sizes * ridges)[:2] if n else ((), ())
     return family(
-        RepresenterFunction(data.x[:k], solved[i][:k], cfg, float(k * r)) if i in solved
+        RepresenterFunction(data.x[:k], b[:k], cfg, float(k * r)) if ok
         else fit_krr(Dataset(data.x[:k], data.y[:k]), float(r), cfg)
-        for i, (k, r) in enumerate(zip(sizes, ridges))
+        for k, r, b, ok in zip(sizes, ridges, beta, solved)
     )
 
 

@@ -218,12 +218,11 @@ class TestBuildCandidates:
             assert np.array_equal(debias.anchors, t1.x)
             assert close(debias(x_test), fit_debias(t1, pooled, lam2, CFG)(x_test))
 
-    def test_one_factor_larger_than_t1(self, monkeypatch):
+    def test_no_factor_larger_than_t1(self, monkeypatch):
         # The m + 1 pooled systems (the candidates' and the whole-target
-        # rung's) share one Cholesky factor, of the largest rung's rows,
-        # apart from the rungs krr.plan_direct fits with fit_krr on their own
-        # rows after it; every other factorization is of a system on T1's
-        # rows (the debias steps).
+        # rung's) are solved by the ladder's PCG on one Gram, which factors
+        # nothing larger than its preconditioner's r x r; every
+        # factorization is of a system on T1's rows (the debias steps).
         rng = np.random.default_rng(409)
         t1 = _dataset(rng, 12)
         sources = [_dataset(rng, n) for n in (6, 9, 7, 5)]
@@ -238,14 +237,12 @@ class TestBuildCandidates:
             return real(system)
 
         monkeypatch.setattr(kernels, "cho_factor", spy)
-        monkeypatch.setattr(krr, "cho_factor", spy, raising=False)
+        fallbacks = []
+        real_fit = krr.fit_krr
+        monkeypatch.setattr(krr, "fit_krr", lambda data, *a: fallbacks.append(data.n) or real_fit(data, *a))
         cs = build_candidates(t1, sources, ranked, SCHED, CFG, f0, t2)
-        sizes = np.array([12 + sum(sources[k - 1].n for k in s) for s in cs.nested_sets[1:]] + [49])
-        ridges = [schedule_lambda_source(int(n), SCHED) for n in sizes]
-        direct = sizes[krr.plan_direct(sizes, sizes * ridges)].tolist()
-        assert direct and len(direct) < 5
-        assert [n for n in orders if n > 12] == [12 + 6 + 9 + 7 + 5 + 10] + direct
-        assert orders.count(12) == 4
+        assert cs.pooled.anchors.shape[0] == 12 + 6 + 9 + 7 + 5 + 10
+        assert fallbacks == [] and orders == [12] * 4
 
     def test_whole_target_rung(self):
         # Given T2 and sources, the ladder's top rung is the pooled fit of the
@@ -274,10 +271,9 @@ class TestBuildCandidates:
 
     def test_fig6_whole_target_rung_matches_fit_pooled(self, monkeypatch):
         # At fig6 sizes with m = 10 (n0 = 600, 13 sources of 300 rows) the
-        # ladder converges on every CG rung, the 4500-row top rung included:
-        # krr.fit_krr, which fit_krr_nested falls back to, is called only for
-        # the rungs krr.plan_direct fits directly. The top rung predicts
-        # within 1e-12 relative of fit_pooled.
+        # ladder converges on every rung, the 4500-row top rung included:
+        # krr.fit_krr, which fit_krr_nested falls back to, is never called.
+        # The top rung predicts within 1e-12 relative of fit_pooled.
         spec = SimSpec(example="ex2mod", s=0.25, m=10)
         target, sources, _, _ = gen_scenario(spec, seed=derive_seed(20260815, 2, 0))
         sched, cfg = LambdaSchedule(scale=0.1), KernelConfig(bandwidth=0.1)
@@ -285,9 +281,7 @@ class TestBuildCandidates:
         real = krr.fit_krr
         monkeypatch.setattr(krr, "fit_krr", lambda data, *a: fallbacks.append(data.n) or real(data, *a))
         _, cs = prepare_candidates(target, sources, 0, sched, cfg)
-        sizes = np.array([300 + 300 * k for k in range(1, 14)] + [4500])
-        ridges = [schedule_lambda_source(int(n), sched) for n in sizes]
-        assert fallbacks == sizes[krr.plan_direct(sizes, sizes * ridges)].tolist() == [600, 900, 1200]
+        assert fallbacks == []
         assert cs.pooled.anchors.shape == (4500, 3)
         coll = SourceCollection(sources=tuple(sources), transferable=tuple(range(1, 14)))
         own = fit_pooled(target, coll, schedule_lambda_source(4500, sched), cfg)
