@@ -588,6 +588,26 @@ class TestFitKrrNested:
         assert calls == [300, 400, 350]
         _assert_rungs_match(*case[:3], sizes, ridges, case[3])
 
+    def test_direct_converged_and_refit_rungs_in_one_ladder(self, monkeypatch):
+        # Rungs solved directly, by PCG, and refit, in one ladder. The 1-row
+        # rung's PCG is a direct solve: one step. The others have shifts
+        # 0.25, 4 and 1; at the full cap their PCG takes 30, 15 and 22
+        # steps. With the cap cut to 1.3 sqrt(kappa), 18 steps, the 512-row
+        # rung (the largest shift) converges while the 420- and 460-row
+        # rungs miss and are refit. So fit_krr sees the refit rungs, in rung
+        # order, and never a converged one; every rung still matches fit_krr.
+        monkeypatch.setattr(krr, "_CG_CAP", 1.3)
+        rng = np.random.default_rng(225)
+        sizes = (420, 1, 512, 460)
+        ridges = [s / n for s, n in zip((0.25, 0.25, 4.0, 1.0), sizes)]
+        calls = _spy_fit_krr(monkeypatch)
+        ladders = _spy_ladder(monkeypatch)
+        case = _nested_case(rng, 2, sizes, ridges)
+        assert ladders[0][2].tolist() == [False, True, True, False]
+        assert ladders[0][3].tolist() == [18, 1, 15, 18]
+        assert calls == [420, 460]
+        _assert_rungs_match(*case[:3], sizes, ridges, case[3])
+
     def test_fig6_ladder_with_whole_target_rung_converges(self, monkeypatch):
         # SA's ladder at fig6 sizes with m = 10 (n0 = 600, 13 sources of 300
         # rows): T1, the sources, then T2, with rungs at T1 plus each source
