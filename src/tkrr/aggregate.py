@@ -172,7 +172,7 @@ def rank_contrasts(
     sample size; the contrast is the RKHS distance to the target-only fit
     on t1 (target_fit, if given, a fit_krr fit of t1). Each fit's squared
     norm b'Kb is b.(y - s b), from its own system (K + s I) b = y (for a
-    low-rank fit, b'G G'b, within its certified n tau / s of b'Kb), so only
+    certified fit, b'G G'b, within its certified n tau / s of b'Kb), so only
     the cross Gram of each source with t1 is assembled. Returns ranking
     fields only, with an empty candidate tuple; with no sources the ranking
     is empty (m = 0).

@@ -2,23 +2,22 @@
 
 Everything downstream (ridge fits, transfer steps, aggregation) reduces to
 Gram-matrix assembly plus symmetric positive definite solves, so those two
-primitives live here, with a certified low-rank factor for a Gram of small
-numerical rank (a pivoted Cholesky held to the Gram's own rounding, which
-krr.fit_krr solves through in O(n r^2)), the two fitted-function types
-(one representer-form expansion, and a weighted sum of fitted functions),
-the families that evaluate several expansions over one anchor array
-together, and the RKHS norm of a difference of two expansions. Ridge
-systems are held in LAPACK's rectangular full packed format (Gustavson,
-Wasniewski, Dongarra and Langou 2010): one triangle in n(n+1)/2 entries,
-factored by a level-3 Cholesky; the candidate ladder's Gram is held in
-row panels whose blocks SciPy's BLAS reads in place, and is never
-factored. Gram blocks and kernel matrix-vector
-products run in SciPy's BLAS too, the OpenBLAS that factors: a block's
-squared distances are ||a||^2 + ||b||^2 - 2 a.b over centred rows, the
-cross term one dgemm.
+primitives live here, with the pieces of krr's ladder solver (a greedy
+pivoted Cholesky of the Gram, and the Gram in row panels with their
+product), the two fitted-function types (one representer-form expansion,
+and a weighted sum of fitted functions), the families that evaluate
+several expansions over one anchor array together, and the RKHS norm of a
+difference of two expansions. Ridge systems are held in LAPACK's
+rectangular full packed format (Gustavson, Wasniewski, Dongarra and
+Langou 2010): one triangle in n(n+1)/2 entries, factored by a level-3
+Cholesky; the ladder's Gram is held in row panels whose blocks SciPy's
+BLAS reads in place, and is never factored. Gram blocks and kernel
+matrix-vector products run in SciPy's BLAS too, the OpenBLAS that
+factors: a block's squared distances are ||a||^2 + ||b||^2 - 2 a.b over
+centred rows, the cross term one dgemm.
 
-The nine routines tkrr calls (dgemm, dgemv, ddot, dpftrf and dpftrs here,
-and dsyrk, dposv, dpotrf and dpotrs, which krr calls through this module's
+The eight routines tkrr calls (dgemm, dgemv, ddot, dpftrf and dpftrs here,
+and dsyrk, dpotrf and dpotrs, which krr calls through this module's
 blas and lapack) are SciPy's f2py wrappers, the very objects
 scipy.linalg.blas and scipy.linalg.lapack re-export, loaded straight from
 the extension modules scipy.linalg._fblas and scipy.linalg._flapack.
@@ -48,7 +47,6 @@ __all__ = [
     "TooFewRowsError",
     "gram_matrix",
     "ridge_system",
-    "low_rank_factor",
     "spd_solve",
     "rkhs_norm_sq",
     "rkhs_norm_diff",
@@ -67,11 +65,6 @@ _BLOCK_ROWS = 64
 _PAD, _DOT_COLS, _DGEMM_MACS = 16, 31, 1 << 18
 # _BELOW[:b, :b - 1] marks the strictly lower entries of a b x b block.
 _BELOW = np.tri(_BLOCK_ROWS, _BLOCK_ROWS - 1, -1, dtype=bool)
-# low_rank_factor judges its rate of decay after this many pivots, then
-# after every doubling: until the pivots cover the rows at the kernel's length
-# scale the residual stays near 1 whatever the rank (3 to 4 pivots on the
-# unit interval at bandwidth 0.05).
-_RATE_PIVOTS = 8
 # A family's Gram is assembled in row blocks of at most this many entries
 # (4 MB), or _BLOCK_ROWS rows if one row block is larger.
 _FAMILY_ENTRIES = 1 << 19
@@ -190,9 +183,9 @@ class RepresenterFunction:
     fitted so. A fit's values at its own anchors are then y - s *
     coefficients and its residuals y_i - f(anchors_i) are s *
     coefficients_i, up to the solve's own residual, with no kernel
-    evaluated. The solve's residual covers a low-rank fit's certified
-    truncation too: it solved with G G' in place of K, within n tau / s
-    relative (krr.fit_krr).
+    evaluated. The solve's residual covers a certified fit's truncation
+    too: it solved with G G' in place of K, within n tau / s relative
+    (krr.fit_krr).
     """
 
     anchors: NDArray[np.float64]
@@ -479,69 +472,30 @@ def _panels_times(panels: list, v: NDArray, sizes: NDArray) -> NDArray[np.float6
     return out
 
 
-def _pivots(rows, max_rank: int, stop):
-    # The greedy pivoted Cholesky of K(x, x) that low_rank_factor and krr's
-    # candidate ladder share, for rows = _scaled_rows of x. Before pivot k,
-    # stop(tops) sees the largest residual diagonals tops[0..k]; at
-    # max_rank pivots or once stop holds, it returns G' (k x n), tops and
-    # the residual diagonal.
+def _pivots(rows, max_rank: int, tol: float):
+    # The greedy pivoted Cholesky (Harbrecht, Peters and Schneider 2012) of
+    # K(x, x), for rows = _scaled_rows of x: each step pivots on the largest
+    # residual diagonal and takes that row of K, gram_matrix's bit for bit.
+    # At max_rank pivots, or once no residual diagonal exceeds tol, it
+    # returns G' (r x n, C-ordered) and the diagonal of the positive
+    # semi-definite E = K - G G'. G' is a view of rows allocated in blocks
+    # as the pivots grow, each touched only once a pivot fills it.
     n = rows[1].shape[0] - _PAD + 1
-    resid, tops, gt = np.ones(n), [], np.empty((0, n))
+    resid, gt = np.ones(n), np.empty((0, n))
     for k in range(max_rank + 1):
         p = int(resid.argmax())
-        tops.append(float(resid[p]))
-        if k == max_rank or stop(tops):
-            return gt[:k], tops, resid
+        if k == max_rank or resid[p] <= tol:
+            return gt[:k], resid
         if k == gt.shape[0]:
-            # The new rows are not touched until pivots fill them, so an
-            # attempt that gives up at pivot 8 writes 8 rows of its first 16.
             grown = np.empty((k + min(max(k, _PAD), max_rank - k), n))
             grown[:k] = gt
             gt = grown
         # Row p of K, written into row k of G', less the earlier pivots' part.
         row = _kernel_block(rows, slice(p, p + 1), rows, slice(0, n), gt[k : k + 1])[0]
         row -= _gemv(gt[:k], gt[:k, p], left=True)
-        row /= np.sqrt(tops[k])
+        row /= np.sqrt(resid[p])
         resid -= row * row
         resid[p] = 0.0
-
-
-def low_rank_factor(cfg: KernelConfig, x: NDArray, max_rank: int) -> NDArray[np.float64] | None:
-    """G' for a certified K(x, x) = G G' + E, G of at most max_rank columns, or None.
-
-    A greedy pivoted Cholesky with trace control (Harbrecht, Peters and
-    Schneider 2012): each step pivots on the row of largest residual
-    diagonal, assembles that row of K against all of x and subtracts the
-    earlier pivots' part. The rows are scaled once, so a pivot's row is
-    gram_matrix(cfg, x[p:p+1], x)[0] bit for bit at the cost of that row
-    alone. It succeeds once every residual diagonal entry is at most
-    tau = 4(d + 2) eps (1 + 2 max ||u_i||^2), gram_matrix's entry error for
-    these rows: E is then positive semi-definite with entries at most tau
-    in size and trace(E) <= n tau, so G G' is as close to K as the Gram
-    gram_matrix assembles is. It gives up, returning None, at max_rank
-    pivots, or at pivot 8 or any later power of two k if the last k/2
-    pivots, at the rate they shrank the largest residual diagonal, would
-    not reach tau within max_rank: 8 rows of K when that diagonal has not
-    fallen at all.
-
-    G' is r x n and C-ordered, a view of rows allocated in blocks as the
-    pivots grow, not max_rank rows up front: at most max(16, 2r) rows, each
-    touched only once a pivot fills it. The pivot loop is the one the
-    candidate ladder's preconditioner takes (krr.fit_krr_nested).
-    """
-    xm = _as_matrix(x)
-    rows = _scaled_rows(cfg, xm, xm.mean(axis=0))
-    tol = 4 * (xm.shape[1] + 2) * np.finfo(np.float64).eps * (1.0 - 2.0 * float(rows[1].min()))
-
-    def stop(tops):
-        k = len(tops) - 1
-        rate = tops[k] / tops[k // 2]
-        return tops[k] <= tol or (k >= _RATE_PIVOTS and k & (k - 1) == 0 and (
-            rate >= 1.0 or k + k // 2 * np.log(tol / tops[k]) / np.log(rate) > max_rank
-        ))
-
-    gt, tops, _ = _pivots(rows, max_rank, stop)
-    return gt if tops[-1] <= tol else None
 
 
 def cho_factor(system: NDArray) -> None:

@@ -3,7 +3,7 @@
 fit_krr solves the representer system (K + n*lambda*I) beta = y, which is
 the first-order condition of the 1/n squared loss plus lambda times the
 squared RKHS norm; fit_krr_nested fits nested leading row blocks of one
-dataset together, by preconditioned conjugate gradients on one Gram. The
+dataset together, and from 768 rows on fit_krr is its one-rung case. The
 two schedule functions map sample sizes to ridge levels at
 the smoothness/eigendecay rates used throughout the estimators: the
 source-sample rate for pooled fits and the bias-aware rate for the debias
@@ -31,7 +31,6 @@ from .kernels import (
     blas,
     family,
     lapack,
-    low_rank_factor,
     ridge_system,
     spd_solve,
 )
@@ -53,15 +52,11 @@ H_FLOOR = 1e-3
 # 1e6. It never takes more than n, the steps of CG in exact arithmetic.
 _CG_TOL, _CG_CAP = 1e-14, 20
 # The ladder's preconditioner takes at most n // _PIVOT_SHARE pivots, so G'
-# holds at most n^2 / 32 entries: 2.2 MB at 3,000 rows (README, "The
-# candidate ladder", times the alternatives).
+# holds at most n^2 / 32 entries: 2.2 MB at 3,000 rows (README, "One solver
+# from 768 rows", times the alternatives).
 _PIVOT_SHARE = 32
-# fit_krr tries the low-rank route from _LOW_RANK_ROWS rows on, with at most
-# n // _RANK_CAP pivots. An attempt that runs to that cap and fails costs
-# about a fifth of a dense fit from 768 rows on, and every ex1 Gram tried
-# needs a cap of 34 to 44 to certify (at rank 23 or 24): n // 16 is 48 from
-# 768 rows (README, "Low-rank Grams").
-_LOW_RANK_ROWS, _RANK_CAP = 768, 16
+# fit_krr is a one-rung ladder from _LOW_RANK_ROWS rows on, dense below.
+_LOW_RANK_ROWS = 768
 
 
 @dataclass(frozen=True)
@@ -89,52 +84,50 @@ class LambdaSchedule:
 def fit_krr(data: Dataset, ridge: float, cfg: KernelConfig) -> RepresenterFunction:
     """Fit KRR on one dataset; anchors are exactly the training covariates.
 
-    Solves (K + s I) beta = y for s = n * ridge by one of two routes, chosen
-    from the input. From 768 rows on, kernels.low_rank_factor first tries
-    to certify K = G G' + E within n // 16 pivots, E positive semi-definite
-    with trace(E) <= n tau for tau gram_matrix's own entry error. If it
-    does, beta = (y - G z) / s for (s I + G'G) z = G'y, an r x r Cholesky
-    solve: the exact solution for G G' in place of K, so it differs from
-    the exact one for K by at most ||E|| / s <= n tau / s relative, the
-    bound the Gram's own rounding puts on the dense solve. Otherwise, or if
-    that r x r factor fails, the n x n packed system is built and factored
-    (spd_solve), and the fit's shift is s plus spd_solve's jitter if it
-    retried. Either way the shift is the s whose system the coefficients
-    solve.
+    Solves (K + s I) beta = y for s = n * ridge: from 768 rows on as
+    fit_krr_nested's one rung, certified by its pivots or solved by PCG;
+    below 768 rows, or if that rung fails, by factoring the n x n packed
+    system (spd_solve). The shift is the s whose system the coefficients
+    solve: s, plus spd_solve's jitter if it retried.
     """
     if not ridge > 0:
         raise ValueError(f"ridge must be positive, got {ridge}")
     if data.n < 1:
         raise TooFewRowsError("need at least one observation")
     s = data.n * ridge
-    if data.n >= _LOW_RANK_ROWS and (g := low_rank_factor(cfg, data.x, data.n // _RANK_CAP)) is not None:
-        # g is G'; the r x r system takes LAPACK's upper triangle of s I + G'G.
-        m = blas.dsyrk(1.0, g.T, trans=1)
-        m[np.diag_indices_from(m)] += s
-        _, z, info = lapack.dposv(m, _gemv(g, data.y), overwrite_a=1)
-        if info == 0:
-            return RepresenterFunction(data.x, (data.y - _gemv(g, z, left=True)) / s, cfg, shift=s)
+    if data.n >= _LOW_RANK_ROWS:
+        beta, solved = _ladder(cfg, data.x, data.y, np.array([data.n]), np.array([s]))[:2]
+        if solved[0]:
+            return RepresenterFunction(data.x, beta[0], cfg, shift=s)
+    return _dense(cfg, data.x, data.y, s)
+
+
+def _dense(cfg: KernelConfig, x, y, s: float) -> RepresenterFunction:
     # One packed buffer of n(n+1)/2 entries holds the system, then its factor.
-    build, jitter = partial(ridge_system, cfg, data.x, s), []
+    build, jitter = partial(ridge_system, cfg, x, s), []
     # A retry refills the system, then adds _jitter of it to the diagonal.
-    beta = spd_solve(build(), data.y, refill=lambda a: jitter.append(_jitter(build(a))))
-    return RepresenterFunction(data.x, beta, cfg, shift=s + sum(jitter))
+    beta = spd_solve(build(), y, refill=lambda a: jitter.append(_jitter(build(a))))
+    return RepresenterFunction(x, beta, cfg, shift=s + sum(jitter))
 
 
 def _ladder(cfg: KernelConfig, x, y, sizes, shifts):
-    # Rows beta_k, zero past sizes[k]; which rungs met the tolerance; each
-    # rung's PCG steps; and the preconditioner's rank r.
+    # Rows beta_k, zero past sizes[k]; which rungs are solved; each rung's
+    # PCG steps; and the preconditioner's rank r.
     n = len(y)
     rows = _scaled_rows(cfg, x, x.mean(axis=0))
-    # G' grows before the panels exist, so its growth adds nothing to the peak.
-    gt, _, resid = _pivots(rows, n // _PIVOT_SHARE, lambda tops: tops[-1] <= _CG_TOL * shifts.min())
-    panels, r = _gram_panels(rows), gt.shape[0]
+    # tau is gram_matrix's entry error for these rows. Pivots that bring
+    # every residual diagonal within tau and _CG_TOL of each shift certify
+    # every rung: G G' is then as close to K as the assembled Gram is.
+    tau = 4 * (x.shape[1] + 2) * np.finfo(np.float64).eps * (1.0 - 2.0 * float(rows[1].min()))
+    tol = min(tau, _CG_TOL * shifts.min())
+    gt, resid = _pivots(rows, n // _PIVOT_SHARE, tol)
+    r = gt.shape[0]
     # (s I + G G')^-1 = (I - G (s I + G'G)^-1 G') / s for G = gt.T, so each
     # rung factors s_k I + G_k'G_k, G_k'G_k summed over G's rows by segment.
     factors, gram, done = {}, np.zeros((r, r)), 0
     for k in np.argsort(sizes, kind="stable"):
         if r and sizes[k] > done:
-            gram += blas.dsyrk(1.0, gt[:, done : sizes[k]])
+            gram += blas.dsyrk(1.0, gt[:, done : sizes[k]].T, trans=1)
             done = sizes[k]
         factor, info = lapack.dpotrf(gram + shifts[k] * np.eye(r), overwrite_a=1) if r else (None, 0)
         if info == 0:
@@ -156,11 +149,23 @@ def _ladder(cfg: KernelConfig, x, y, sizes, shifts):
 
     # Column i of each state array is rung act[i]'s, largest rungs first.
     act = np.array([k for k in np.argsort(-sizes, kind="stable") if k in factors], dtype=int)
+    beta, steps = np.zeros((len(sizes), n)), np.zeros(len(sizes), dtype=int)
+    solved = np.zeros(len(sizes), dtype=bool)
+    if resid.max(initial=0.0) <= tol:
+        # Certified: E's diagonal is within tol, so G_k G_k' is K_k to the
+        # Gram's own rounding, and beta_k = (y_k - G_k z_k) / s_k for
+        # (s_k I + G_k'G_k) z_k = G_k'y_k solves the rung with it for K_k.
+        for k in act:
+            g, yk = gt[:, : sizes[k]], y[: sizes[k]]
+            z = lapack.dpotrs(factors[k], _gemv(g, yk))[0]
+            beta[k, : sizes[k]] = (yk - _gemv(g, z, left=True)) / shifts[k]
+        solved[act] = True
+        return beta, solved, steps, r
+    # G' grows before the panels exist, so its growth adds nothing to the peak.
+    panels = _gram_panels(rows)
     res = np.where(np.arange(n)[:, None] < sizes[act], y[:, None], 0.0)
     state = np.stack([res, np.zeros_like(res), precondition(res, act)])  # residual, beta, direction
     stop, rz = _CG_TOL**2 * dots(res, res), dots(res, state[2])
-    beta, steps = np.zeros((len(sizes), n)), np.zeros(len(sizes), dtype=int)
-    solved = np.zeros(len(sizes), dtype=bool)
     kappa = 1.0 + max(np.maximum(resid[:k], 0.0).sum() / s for k, s in zip(sizes, shifts))
     cap = min(n, int(np.ceil(_CG_CAP * np.sqrt(kappa))))
     for step in range(cap + 1):
@@ -187,34 +192,35 @@ def _ladder(cfg: KernelConfig, x, y, sizes, shifts):
 def fit_krr_nested(data: Dataset, sizes, ridges, cfg: KernelConfig) -> tuple:
     """Fit k is KRR on the first sizes[k] rows of data at ridge ridges[k].
 
-    Every rung solves its exact system (K_k + s_k I) beta_k = y_k, for
-    s_k = sizes[k] * ridges[k] and K_k the leading block of the largest
-    rung's Gram K, by preconditioned conjugate gradients. K is assembled
-    once, in row panels of n(n + 64)/2 entries; nothing is factored at
-    n x n. One greedy pivoted Cholesky K = G G' + E of at most n // 32
-    pivots, E positive semi-definite (kernels.low_rank_factor's pivot loop),
-    gives rung k the preconditioner (s_k I + G_k G_k')^-1 for G_k the first
-    sizes[k] rows of G, applied through an r x r Cholesky factor (Woodbury).
-    K_k - G_k G_k' is a leading block of E, so the preconditioned spectrum
-    lies in [1, 1 + ||E_k|| / s_k]. The rungs step together, one pass over
-    the panels and one preconditioner apply per step, to relative residual
-    1e-14. A rung that misses it within min(n, 20 sqrt(kappa)) steps, for
-    kappa = 1 + max over rungs of trace(E_k) / s_k, or whose r x r factor
-    fails, is fit_krr on its rows, jitter retry included, after the panels
-    are freed. Memory: the panels, G's n^2 / 32 entries at most, and a few
-    rungs x n arrays.
+    Every rung solves (K_k + s_k I) beta_k = y_k, for s_k = sizes[k] *
+    ridges[k] and K_k the leading block of the largest rung's Gram K. One
+    greedy pivoted Cholesky K = G G' + E (kernels._pivots), E positive
+    semi-definite, stops at n // 32 pivots, or early once E's diagonal is
+    within min(tau, 1e-14 min_k s_k), tau gram_matrix's entry error. Then
+    every rung is certified: beta_k = (s_k I + G_k G_k')^-1 y_k (Woodbury,
+    through an r x r Cholesky), within ||E_k|| / s_k relative of the exact
+    solution, the bound the Gram's own rounding puts on a dense solve; no
+    panel is assembled and no PCG step runs. Otherwise that inverse
+    preconditions CG on each rung's exact system, whose preconditioned
+    spectrum lies in [1, 1 + ||E_k|| / s_k]: K is assembled once, in row
+    panels of n(n + 64)/2 entries, nothing is factored at n x n, and the
+    rungs step together, one panel pass and one preconditioner apply per
+    step, to relative residual 1e-14. A rung that misses it within
+    min(n, 20 sqrt(kappa)) steps, kappa = 1 + max_k trace(E_k) / s_k, or
+    whose r x r factor fails, gets a dense packed factor of its own system,
+    jitter retry included, after the panels are freed. Memory: the panels,
+    G's n^2 / 32 entries at most, and a few rungs x n arrays.
 
     The fits are returned as one kernels.family, each with its shift s_k.
     """
     sizes, ridges = np.asarray(sizes, dtype=int).ravel(), np.asarray(ridges, dtype=float).ravel()
     if ridges.shape != sizes.shape or not all(r > 0 and 1 <= k <= data.n for k, r in zip(sizes, ridges)):
         raise ValueError(f"need positive ridges for sizes in 1..{data.n}: {sizes}, {ridges}")
-    n = sizes.max(initial=0)
-    beta, solved = _ladder(cfg, data.x[:n], data.y[:n], sizes, sizes * ridges)[:2] if n else ((), ())
+    n, shifts = sizes.max(initial=0), sizes * ridges
+    beta, solved = _ladder(cfg, data.x[:n], data.y[:n], sizes, shifts)[:2] if n else ((), ())
     return family(
-        RepresenterFunction(data.x[:k], b[:k], cfg, float(k * r)) if ok
-        else fit_krr(Dataset(data.x[:k], data.y[:k]), float(r), cfg)
-        for k, r, b, ok in zip(sizes, ridges, beta, solved)
+        RepresenterFunction(data.x[:k], b[:k], cfg, float(s)) if ok else _dense(cfg, data.x[:k], data.y[:k], float(s))
+        for k, s, b, ok in zip(sizes, shifts, beta, solved)
     )
 
 

@@ -86,7 +86,7 @@ def fit_debias(
     rows, if given, index the pooled fit's anchors that are the target's
     rows, in target order; the residuals are then pooled.shift *
     pooled.coefficients[rows], from the pooled fit's own system, equal to
-    the evaluated ones up to the solve's own residual (for a low-rank
+    the evaluated ones up to the solve's own residual (for a certified
     pooled fit, its certified truncation too, within n tau / s relative:
     krr.fit_krr). Otherwise pooled is evaluated.
     """

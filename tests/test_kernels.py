@@ -222,11 +222,17 @@ class TestRidgeSystem:
 
 
 class TestLowRankFactor:
+    # kernels._pivots, the greedy pivoted Cholesky K = G G' + E that krr's
+    # ladder takes, stopped at a residual diagonal tolerance or a pivot cap.
     @staticmethod
     def tau(x, bandwidth):
-        # gram_matrix's entry error for these rows, the factor's tolerance.
+        # gram_matrix's entry error for these rows, the certificate's tolerance.
         u = (x - x.mean(axis=0)) / np.sqrt(bandwidth)
         return 4 * (x.shape[1] + 2) * np.finfo(np.float64).eps * (1 + 2 * (u * u).sum(axis=1).max())
+
+    @staticmethod
+    def pivots(cfg, x, max_rank, tol):
+        return kernels._pivots(kernels._scaled_rows(cfg, x, x.mean(axis=0)), max_rank, tol)
 
     @staticmethod
     def pivot_rows(monkeypatch):
@@ -245,17 +251,22 @@ class TestLowRankFactor:
     def test_certificate(self):
         # K = G G' + E: E's diagonal is at most tau, so every entry of G G'
         # is within 2 tau of the kernel (tau for the rows' own rounding), and
-        # E is positive semi-definite up to that rounding.
+        # E is positive semi-definite up to that rounding. The residual
+        # diagonal returned is E's.
         x = np.random.default_rng(230).random((400, 1))
         cfg, tau = KernelConfig(bandwidth=0.05), self.tau(x, 0.05)
-        gt = kernels.low_rank_factor(cfg, x, 400)
+        gt, resid = self.pivots(cfg, x, 400, tau)
         assert gt.shape[1] == 400 and 20 <= gt.shape[0] <= 30
-        assert gt.flags.c_contiguous
+        assert gt.flags.c_contiguous and resid.max() <= tau
         e = np.exp(-cdist(x, x, "sqeuclidean") / 0.05) - gt.T @ gt
         assert np.max(np.diag(e)) <= 2 * tau
         assert np.max(np.abs(e)) <= 2 * tau
+        assert np.max(np.abs(np.diag(e) - resid)) <= 2 * tau
         assert np.linalg.eigvalsh(e).min() >= -400 * tau
-        assert np.array_equal(gt, kernels.low_rank_factor(cfg, x, 400))
+        assert np.array_equal(gt, self.pivots(cfg, x, 400, tau)[0])
+        # A cap below the rank stops there, short of the tolerance.
+        gt5, resid5 = self.pivots(cfg, x, 5, tau)
+        assert np.array_equal(gt5, gt[:5]) and resid5.max() > tau
 
     def test_pivot_rows_are_gram_matrix_rows(self, monkeypatch):
         # Each pivot's row of K is gram_matrix's, bit for bit, from rows
@@ -263,7 +274,7 @@ class TestLowRankFactor:
         x = np.random.default_rng(234).random((500, 2))
         cfg = KernelConfig(bandwidth=0.3)
         rows = self.pivot_rows(monkeypatch)
-        gt = kernels.low_rank_factor(cfg, x, 500)
+        gt, _ = self.pivots(cfg, x, 500, self.tau(x, 0.3))
         monkeypatch.undo()
         assert len(rows) == gt.shape[0] and len({p for p, _ in rows}) == len(rows)
         for p, row in rows:
@@ -271,30 +282,8 @@ class TestLowRankFactor:
 
     def test_rows_grow_in_blocks(self):
         x = np.random.default_rng(231).random((600, 1))
-        gt = kernels.low_rank_factor(KernelConfig(bandwidth=0.05), x, 600)
+        gt, _ = self.pivots(KernelConfig(bandwidth=0.05), x, 600, self.tau(x, 0.05))
         assert gt.base is not None and gt.shape[0] <= gt.base.shape[0] < 2 * gt.shape[0]
-
-    def test_high_rank_stops_at_pivot_8(self, monkeypatch):
-        # ex2mod-like rows: the largest residual diagonal has not fallen
-        # after 8 pivots, so the attempt ends there, whatever the cap.
-        x = np.random.default_rng(232).random((600, 3))
-        rows = self.pivot_rows(monkeypatch)
-        for cap in (37, 600):
-            rows.clear()
-            assert kernels.low_rank_factor(KernelConfig(bandwidth=0.1), x, cap) is None
-            assert len(rows) == 8
-
-    def test_gives_up_at_the_cap_or_a_projection_past_it(self, monkeypatch):
-        # These 1-d rows certify at rank 23. With a cap of 5 the attempt
-        # stops there; with 20 the rate of pivots 4 to 8 projects past it.
-        x = np.random.default_rng(233).random((600, 1))
-        cfg = KernelConfig(bandwidth=0.05)
-        assert 20 <= kernels.low_rank_factor(cfg, x, 600).shape[0] <= 26
-        rows = self.pivot_rows(monkeypatch)
-        for cap, taken in ((5, 5), (20, 8)):
-            rows.clear()
-            assert kernels.low_rank_factor(cfg, x, cap) is None
-            assert len(rows) == taken
 
 
 class TestSpdSolve:

@@ -218,29 +218,40 @@ def _ex1_like(n, seed):
     return Dataset(x, y), schedule_lambda_source(n, LambdaSchedule(scale=0.1)), KernelConfig(bandwidth=0.05)
 
 
+def _dense_route(cfg, x, y, shift):
+    # The dense route on its own: one packed system, factored once.
+    return RepresenterFunction(x, kernels.spd_solve(kernels.ridge_system(cfg, x, shift), y), cfg)
+
+
 class TestLowRankRoute:
     def test_size_threshold_and_cap(self, monkeypatch):
-        # No attempt below 768 rows; from 768 on, at most n // 16 pivots.
-        # Both are derived from measured costs (README, "Low-rank Grams").
-        assert (krr._LOW_RANK_ROWS, krr._RANK_CAP) == (768, 16)
-        attempts = _spy(monkeypatch, krr, "low_rank_factor")
+        # No ladder below 768 rows; from 768 on, fit_krr is a one-rung ladder
+        # of at most n // 32 pivots, and these ex1 Grams certify within it.
+        assert (krr._LOW_RANK_ROWS, krr._PIVOT_SHARE) == (768, 32)
+        ladders = _spy_ladder(monkeypatch)
         solves = _spy(monkeypatch, krr, "spd_solve")
         for n in (767, 768, 1000):
             fit_krr(*_ex1_like(n, 240))
-        assert [(len(x), cap) for _, x, cap in attempts] == [(768, 48), (1000, 62)]
+        assert [(sizes, solved.tolist(), steps.tolist()) for sizes, _, solved, steps, _ in ladders] == [
+            ([768], [True], [0]),
+            ([1000], [True], [0]),
+        ]
+        assert all(23 <= r <= 24 for *_, r in ladders)
         assert [len(b) for _, b in solves] == [767]
 
     @pytest.mark.parametrize("n", [800, 1700, 4500])
     def test_matches_dense_route_within_certified_bound(self, monkeypatch, n):
-        # fit_krr takes the low-rank route, solving (G G' + s I) beta = y;
-        # the dense route solves (K + s I) beta = y. Each is within n tau / s
-        # of the exact solution for K, relative, so they are within twice
-        # that of each other, and so are their predictions.
+        # fit_krr's ladder certifies, solving (G G' + s I) beta = y; the dense
+        # route solves (K + s I) beta = y. Each is within n tau / s of the
+        # exact solution for K, relative, so they are within twice that of
+        # each other, and so are their predictions.
         ds, ridge, cfg = _ex1_like(n, 241)
         solves = _spy(monkeypatch, krr, "spd_solve")
+        ladders = _spy_ladder(monkeypatch)
         f = fit_krr(ds, ridge, cfg)
         assert solves == [] and f.shift == n * ridge
-        dense = kernels.spd_solve(kernels.ridge_system(cfg, ds.x, n * ridge), ds.y)
+        assert ladders[0][2].tolist() == [True] and ladders[0][3].tolist() == [0]
+        dense = _dense_route(cfg, ds.x, ds.y, n * ridge).coefficients
         u = (ds.x - ds.x.mean()) / np.sqrt(cfg.bandwidth)
         tau = 12 * np.finfo(np.float64).eps * (1 + 2 * np.max(u * u))
         bound = 2 * n * tau / f.shift
@@ -252,25 +263,55 @@ class TestLowRankRoute:
         got = ds.y - f.shift * f.coefficients
         assert np.max(np.abs(got - f(ds.x))) <= bound * np.max(np.abs(got))
 
-    def test_duplicate_rows_need_no_jitter(self, monkeypatch):
-        # 400 rows twice at a ridge where the dense system fails to factor and
-        # is retried with jitter; the low-rank route solves at s itself, and
-        # the fit takes the same value at a row and its copy.
+    def test_certified_fit_assembles_no_panels(self, monkeypatch):
+        # known-ex1's pooled fit of 1,700 rows: the pivots certify the Gram,
+        # so the ladder exits before it assembles the Gram's panels.
+        panels = _spy(monkeypatch, krr, "_gram_panels")
+        ladders = _spy_ladder(monkeypatch)
+        fit_krr(*_ex1_like(1700, 243))
+        assert panels == [] and ladders[0][2].tolist() == [True] and ladders[0][4] in (23, 24)
+
+    def test_high_rank_fit_is_a_pcg_rung(self, monkeypatch):
+        # A 2,000-row pooled set of the ex2mod design (unknown-ex2mod's
+        # target and its first eight sources, in index order), the shape of
+        # SA's partial-set refits: the pivots run to the n // 32 cap without
+        # certifying, and PCG solves the exact system, with no packed system
+        # and no factor, within 1e-12 relative of the dense route.
+        target, sources, _, _ = gen_scenario(SimSpec("ex2mod", s=0.25, m=10, n0=400, n_k=200), seed=244)
+        rows = [target, *sources[:8]]
+        ds = Dataset(np.concatenate([d.x for d in rows]), np.concatenate([d.y for d in rows]))
+        cfg, ridge = KernelConfig(bandwidth=0.1), schedule_lambda_source(2000, LambdaSchedule(scale=0.1))
+        factors = _spy(monkeypatch, kernels, "cho_factor")
+        solves = _spy(monkeypatch, krr, "spd_solve")
+        ladders = _spy_ladder(monkeypatch)
+        f = fit_krr(ds, ridge, cfg)
+        assert factors == solves == []
+        ((sizes, _, solved, steps, r),) = ladders
+        assert sizes == [2000] and solved.tolist() == [True] and steps[0] > 0 and r == 2000 // 32
+        assert f.shift == 2000 * ridge
+        want = _dense_route(cfg, ds.x, ds.y, f.shift)
+        assert np.linalg.norm(f.coefficients - want.coefficients) <= 1e-12 * np.linalg.norm(want.coefficients)
+        x_test = np.random.default_rng(245).random((100, 3))
+        assert np.max(np.abs(f(x_test) - want(x_test))) <= 1e-12 * np.max(np.abs(want(x_test)))
+
+    def test_duplicate_rows_at_a_tiny_shift_take_the_dense_route(self, monkeypatch):
+        # 400 rows twice at a ridge far below roundoff (s = 8e-15): the pivots
+        # reach the Gram's rounding, but the certificate also asks for
+        # 1e-14 s, so the rung runs PCG, misses, and is refit densely, where
+        # the factor fails and the retry adds jitter. The fit is the dense
+        # route's bit for bit and its shift carries the jitter.
         rng = np.random.default_rng(242)
         x = np.concatenate([rng.random((400, 1))] * 2)
         ds = Dataset(x, np.sin(6.0 * x[:, 0]) + rng.normal(0.0, 0.1, 800))
         cfg, ridge = KernelConfig(), 1e-17
         factors = _spy(monkeypatch, kernels, "cho_factor")
-        build = lambda a=None: kernels.ridge_system(cfg, ds.x, 800 * ridge, a)
-        kernels.spd_solve(build(), ds.y, refill=build)
-        assert len(factors) == 2
-        factors.clear()
-        solves = _spy(monkeypatch, krr, "spd_solve")
+        ladders = _spy_ladder(monkeypatch)
         f = fit_krr(ds, ridge, cfg)
-        assert solves == [] and factors == [] and f.shift == 800 * ridge
-        assert np.all(np.isfinite(f.coefficients))
-        own = ds.y - f.shift * f.coefficients
-        assert np.max(np.abs(own[:400] - own[400:])) <= 1e-12
+        assert ladders[0][2].tolist() == [False] and len(factors) == 2
+        build = lambda a=None: kernels.ridge_system(cfg, ds.x, 800 * ridge, a)
+        assert np.array_equal(f.coefficients, kernels.spd_solve(build(), ds.y, refill=build))
+        s = 800 * ridge
+        assert abs(f.shift - (s + 1e-10 * (1.0 + s))) <= 1e-24
 
 
 def _load_workloads():
@@ -284,90 +325,98 @@ def _load_workloads():
 
 
 class TestShippedRoutes:
-    # Per sweep value, how many fit_krr calls of each row count take each
-    # route in replication 0: "low-rank", "dense" (no attempt, below 768
-    # rows), or "failed" (an attempt that gave up, then the dense route).
-    # Every shipped low-rank Gram certifies at rank 23 or 24, and a failed
-    # attempt stops after 8 pivots; no shipped fit fails one now that the
-    # candidate ladder fits no rung with fit_krr.
-    EX1 = {(200, "dense"): 2, (1700, "low-rank"): 1}
+    # Per sweep value, how many fits of each row count take each route in
+    # one replication: "dense" (fit_krr below 768 rows), "certified" (a
+    # one-rung ladder whose 23 or 24 pivots certify the Gram, with no panels
+    # and no PCG step) or "pcg" (a one-rung ladder that runs to n // 32
+    # pivots, then PCG). A rung that failed would be refit densely; no
+    # shipped fit's does. The candidate ladders of fit_krr_nested are not
+    # counted here (TestFitKrrNested::test_pivots_and_steps pins them).
+    # Each entry is (replication, routes); the workloads are built at seed
+    # 101. Replication 2 of csv-studies is a cell where SA refits a partial
+    # source set (T1 with three of the four sources, 1,050 rows, pooled in
+    # index order), so its route is pinned too.
+    EX1 = {(200, "dense"): 2, (1700, "certified"): 1}
+    CSV = {(75, "dense"): 5, (150, "dense"): 3, (300, "dense"): 4}
     ROUTES = {
-        "fig3": dict.fromkeys((0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45), EX1),
-        "fig4": {
+        "fig3": (0, dict.fromkeys((0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45), EX1)),
+        "fig4": (0, {
             0: {(200, "dense"): 3},
             2: {(200, "dense"): 2, (500, "dense"): 1},
-            **{a_h: {(200, "dense"): 2, (200 + 150 * a_h, "low-rank"): 1} for a_h in (4, 6, 8, 10)},
-        },
-        "fig5": {
+            **{a_h: {(200, "dense"): 2, (200 + 150 * a_h, "certified"): 1} for a_h in (4, 6, 8, 10)},
+        }),
+        "fig5": (0, {
             200: EX1,
-            1000: {(1000, "low-rank"): 2, (2500, "low-rank"): 1},
-            3000: {(3000, "low-rank"): 2, (4500, "low-rank"): 1},
-        },
-        "fig6": {
+            1000: {(1000, "certified"): 2, (2500, "certified"): 1},
+            3000: {(3000, "certified"): 2, (4500, "certified"): 1},
+        }),
+        "fig6": (0, {
             0: {(300, "dense"): 7, (600, "dense"): 3},
             5: {(300, "dense"): 17, (600, "dense"): 3},
             10: {(300, "dense"): 27, (600, "dense"): 3},
-        },
-        "known-ex1": {0.05: EX1, 0.45: EX1},
-        "unknown-ex2mod": {10: {(200, "dense"): 27, (400, "dense"): 3}},
-        "csv-studies": {300: {(75, "dense"): 5, (150, "dense"): 3, (300, "dense"): 4}},
+        }),
+        "known-ex1": (0, {0.05: EX1, 0.45: EX1}),
+        "unknown-ex2mod": (0, {10: {(200, "dense"): 27, (400, "dense"): 3}}),
+        "csv-studies": (0, {300: CSV}),
+        "csv-studies replication 2": (2, {300: {**CSV, (150, "dense"): 4, (750, "dense"): 1, (1050, "pcg"): 1}}),
     }
 
     @staticmethod
-    def routes(monkeypatch, cfg, v_index):
-        # (rows, route, pivots taken) of every fit_krr call in the cell.
-        out, pivots = [], []
-        real_block, real_factor, real_solve = kernels._kernel_block, krr.low_rank_factor, krr.spd_solve
+    def routes(monkeypatch, cfg, v_index, replication):
+        # (rows, route, pivots taken) of every fit_krr fit in the cell.
+        out, nested = [], []
+        real_ladder, real_dense, real_nested = krr._ladder, krr._dense, aggregate.fit_krr_nested
 
-        def block(*a, **k):
-            pivots.append(1)
-            return real_block(*a, **k)
+        def ladder(cfg, x, y, sizes, shifts):
+            beta, solved, steps, r = real_ladder(cfg, x, y, sizes, shifts)
+            if not nested:
+                route = "failed" if not solved[0] else "pcg" if steps[0] else "certified"
+                out.append([len(y), route, r])
+            return beta, solved, steps, r
 
-        def factor(cfg, x, cap):
-            pivots.clear()
-            monkeypatch.setattr(kernels, "_kernel_block", block)
-            g = real_factor(cfg, x, cap)
-            monkeypatch.setattr(kernels, "_kernel_block", real_block)
-            out.append([len(x), "failed" if g is None else "low-rank", len(pivots)])
-            return g
+        def dense(cfg, x, y, s):
+            if not nested:
+                out.append([len(y), "dense", 0])
+            return real_dense(cfg, x, y, s)
 
-        def solve(a, b, refill=None):
-            if out and out[-1][:2] == [len(b), "failed"]:
-                out[-1].append("solved")
-            else:
-                out.append([len(b), "dense", 0])
-            return real_solve(a, b, refill)
+        def fit_nested(*a):
+            nested.append(1)
+            try:
+                return real_nested(*a)
+            finally:
+                nested.pop()
 
-        monkeypatch.setattr(krr, "low_rank_factor", factor)
-        monkeypatch.setattr(krr, "spd_solve", solve)
-        harness._run_cell(cfg, v_index, 0)
+        monkeypatch.setattr(krr, "_ladder", ladder)
+        monkeypatch.setattr(krr, "_dense", dense)
+        monkeypatch.setattr(aggregate, "fit_krr_nested", fit_nested)
+        harness._run_cell(cfg, v_index, replication)
         monkeypatch.undo()
-        # A failed attempt is followed by its dense solve.
-        assert all(r[3:] == ["solved"] for r in out if r[1] == "failed")
         return out
 
     @pytest.mark.parametrize("name", list(ROUTES))
     def test_routes(self, name, monkeypatch, tmp_path):
-        if name.startswith("fig"):
-            cfg = harness.config_from_json(f"{Path(__file__).resolve().parents[1]}/configs/{name}.json")
+        config = name.split()[0]
+        if config.startswith("fig"):
+            cfg = harness.config_from_json(f"{Path(__file__).resolve().parents[1]}/configs/{config}.json")
         else:
-            cfg = harness.config_from_json(_load_workloads().build(name, 101, tmp_path).config_path)
-        assert cfg.sweep_values == tuple(self.ROUTES[name])
-        for v_index, (value, want) in enumerate(self.ROUTES[name].items()):
-            got = self.routes(monkeypatch, cfg, v_index)
-            assert Counter((n, route) for n, route, *_ in got) == want, value
-            for n, route, pivots, *_ in got:
-                if route == "low-rank":
+            cfg = harness.config_from_json(_load_workloads().build(config, 101, tmp_path).config_path)
+        replication, routes = self.ROUTES[name]
+        assert cfg.sweep_values == tuple(routes)
+        for v_index, (value, want) in enumerate(routes.items()):
+            got = self.routes(monkeypatch, cfg, v_index, replication)
+            assert Counter((n, route) for n, route, _ in got) == want, value
+            for n, route, pivots in got:
+                if route == "certified":
                     assert pivots in (23, 24), (value, n)
-                elif route == "failed":
-                    assert pivots == 8, (value, n)
+                elif route == "pcg":
+                    assert pivots == n // krr._PIVOT_SHARE, (value, n)
 
 
-def _spy_fit_krr(monkeypatch):
-    # Record the row count of every fit_krr call that fit_krr_nested makes.
+def _spy_dense(monkeypatch):
+    # Record the row count of every dense-route fit that krr makes.
     calls = []
-    real = krr.fit_krr
-    monkeypatch.setattr(krr, "fit_krr", lambda data, *a: calls.append(data.n) or real(data, *a))
+    real = krr._dense
+    monkeypatch.setattr(krr, "_dense", lambda cfg, x, *a: calls.append(len(x)) or real(cfg, x, *a))
     return calls
 
 
@@ -463,10 +512,10 @@ class TestFitKrrNested:
     @pytest.mark.parametrize("d", [1, 3, 10])
     @pytest.mark.parametrize("shifts", ["rising", "falling", "equal"])
     def test_rungs_match_fit_krr(self, monkeypatch, d, shifts):
-        # Every rung converges, so fit_krr is never called.
+        # Every rung converges, so no rung is refit densely.
         rng = np.random.default_rng(220)
         ridges = [self.SHIFTS[shifts](n) for n in self.SIZES]
-        calls = _spy_fit_krr(monkeypatch)
+        calls = _spy_dense(monkeypatch)
         case = _nested_case(rng, d, self.SIZES, ridges)
         assert calls == []
         _assert_rungs_match(*case[:3], self.SIZES, ridges, case[3])
@@ -474,7 +523,7 @@ class TestFitKrrNested:
     # SA's ladder in replication 0 of each shipped shape: the pivots the
     # preconditioner takes, n // 32 on every one, and each rung's PCG steps,
     # in rung order (|T1| + n_k, |T1| + 2 n_k, ..., then the whole target's
-    # 2 |T1| + m n_k rows). No rung falls back to fit_krr. The wine ladders
+    # 2 |T1| + m n_k rows). No rung is refit densely. The wine ladders
     # (two rungs) have no data in the repository.
     LADDERS = {
         "fig6 m=0": ((600, 900, 1200, 1500), 46, [15, 16, 16, 17]),
@@ -488,17 +537,16 @@ class TestFitKrrNested:
     @pytest.mark.parametrize("name", list(LADDERS))
     def test_pivots_and_steps(self, name, monkeypatch, tmp_path):
         sizes, rank, steps = self.LADDERS[name]
-        calls = _spy_fit_krr(monkeypatch)
         (_, got_sizes, *_), (ladder_sizes, _, solved, got_steps, got_rank) = _shipped_ladder(name, monkeypatch, tmp_path)
         assert tuple(got_sizes) == tuple(ladder_sizes) == sizes
         assert (got_rank, got_steps.tolist()) == (rank, steps)
         assert got_rank == max(sizes) // krr._PIVOT_SHARE
-        assert solved.all() and calls == []
+        assert solved.all()
 
     @pytest.mark.parametrize("name", ["fig6 m=10", "csv-studies"])
     def test_shipped_ladders_match_dense_fits(self, name, monkeypatch, tmp_path):
-        # Every rung predicts within 1e-12 relative of fit_krr on its rows
-        # (the dense route at these sizes), and its true residual
+        # Every rung predicts within 1e-12 relative of the dense route on its
+        # rows, and its true residual
         # ||y_k - (K_k + s_k I) beta_k|| / ||y_k||, from a dense Gram rather
         # than the PCG recursion, is at most 1e-13.
         (data, sizes, ridges, cfg, fits), _ = _shipped_ladder(name, monkeypatch, tmp_path)
@@ -508,7 +556,7 @@ class TestFitKrrNested:
             y = data.y[:k]
             resid = y - k_full[:k, :k] @ fit.coefficients - k * ridge * fit.coefficients
             assert np.linalg.norm(resid) <= 1e-13 * np.linalg.norm(y), k
-            want = fit_krr(Dataset(data.x[:k], y), ridge, cfg)(x_test)
+            want = _dense_route(cfg, data.x[:k], y, k * ridge)(x_test)
             assert np.max(np.abs(fit(x_test) - want)) <= 1e-12 * np.max(np.abs(want)), k
 
     def test_no_factor_or_spd_solve_when_every_rung_converges(self, monkeypatch):
@@ -554,13 +602,14 @@ class TestFitKrrNested:
 
     def test_unconverged_ladder_falls_back_to_fit_krr(self, monkeypatch):
         # Duplicated rows at a ridge far below roundoff: no rung's PCG
-        # converges within its n steps, and every rung is fit_krr on its
-        # rows, jitter retry included.
+        # converges within its n steps, and every rung is refit by the dense
+        # route on its rows, jitter retry included: below 768 rows, fit_krr
+        # on its rows bit for bit.
         rng = np.random.default_rng(222)
         x = rng.normal(size=(150, 2))
         ds = Dataset(x=np.concatenate([x, x]), y=rng.normal(size=300))
         sizes, cfg = (200, 300, 250), KernelConfig()
-        calls = _spy_fit_krr(monkeypatch)
+        calls = _spy_dense(monkeypatch)
         ladders = _spy_ladder(monkeypatch)
         fits = fit_krr_nested(ds, sizes, [1e-20] * 3, cfg)
         assert not ladders[0][2].any()
@@ -574,13 +623,13 @@ class TestFitKrrNested:
     def test_rungs_that_miss_the_cap_are_refit(self, monkeypatch):
         # With the step cap cut to one step, the 1-row rung converges (its
         # Krylov space has one dimension) and the others miss the tolerance:
-        # fit_krr refits each of them, in rung order, and never the
+        # the dense route refits each of them, in rung order, and never the
         # converged rung; every rung still matches fit_krr.
         monkeypatch.setattr(krr, "_CG_CAP", 1e-9)
         rng = np.random.default_rng(223)
         sizes = (300, 1, 400, 350)
         ridges = [self.SHIFTS["rising"](n) for n in sizes]
-        calls = _spy_fit_krr(monkeypatch)
+        calls = _spy_dense(monkeypatch)
         ladders = _spy_ladder(monkeypatch)
         case = _nested_case(rng, 2, sizes, ridges)
         assert ladders[0][2].tolist() == [False, True, False, False]
@@ -594,13 +643,14 @@ class TestFitKrrNested:
         # 0.25, 4 and 1; at the full cap their PCG takes 30, 15 and 22
         # steps. With the cap cut to 1.3 sqrt(kappa), 18 steps, the 512-row
         # rung (the largest shift) converges while the 420- and 460-row
-        # rungs miss and are refit. So fit_krr sees the refit rungs, in rung
-        # order, and never a converged one; every rung still matches fit_krr.
+        # rungs miss and are refit. So the dense route sees the refit rungs,
+        # in rung order, and never a converged one; every rung still matches
+        # fit_krr.
         monkeypatch.setattr(krr, "_CG_CAP", 1.3)
         rng = np.random.default_rng(225)
         sizes = (420, 1, 512, 460)
         ridges = [s / n for s, n in zip((0.25, 0.25, 4.0, 1.0), sizes)]
-        calls = _spy_fit_krr(monkeypatch)
+        calls = _spy_dense(monkeypatch)
         ladders = _spy_ladder(monkeypatch)
         case = _nested_case(rng, 2, sizes, ridges)
         assert ladders[0][2].tolist() == [False, True, True, False]
@@ -612,8 +662,8 @@ class TestFitKrrNested:
         # SA's ladder at fig6 sizes with m = 10 (n0 = 600, 13 sources of 300
         # rows): T1, the sources, then T2, with rungs at T1 plus each source
         # count and one whole-target rung of 4500 rows. Every rung converges,
-        # so fit_krr is never called, and the top rung is fit_krr on all
-        # rows within the 1e-12 relative bound.
+        # so none is refit, and the top rung is the dense route on all rows
+        # within the 1e-12 relative bound.
         spec = SimSpec(example="ex2mod", s=0.25, m=10)
         target, sources, _, _ = gen_scenario(spec, seed=20260815)
         t1, t2 = target.split(300, 0)
@@ -622,11 +672,11 @@ class TestFitKrrNested:
         sizes = [300 + 300 * k for k in range(1, 14)] + [4500]
         sched, cfg = LambdaSchedule(scale=0.1), KernelConfig(bandwidth=0.1)
         ridges = [schedule_lambda_source(n, sched) for n in sizes]
-        calls = _spy_fit_krr(monkeypatch)
+        calls = _spy_dense(monkeypatch)
         fits = fit_krr_nested(ds, sizes, ridges, cfg)
         assert calls == []
         x_test = np.random.default_rng(224).random((100, 3))
-        want = fit_krr(ds, ridges[-1], cfg)(x_test)
+        want = _dense_route(cfg, ds.x, ds.y, 4500 * ridges[-1])(x_test)
         assert np.max(np.abs(fits[-1](x_test) - want)) <= 1e-12 * np.max(np.abs(want))
 
 

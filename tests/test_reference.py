@@ -66,8 +66,9 @@ def test_ex2mod_cells(seed, monkeypatch):
 
 def test_ex1_low_rank_cell(monkeypatch):
     # A known-set ex1 cell from 768 rows up: the target (800 rows), the
-    # known pooled fit (1100) and SA's refits take fit_krr's low-rank route,
-    # which must match the dense oracle as closely as the dense route does.
+    # known pooled fit (1100) and SA's refits take the ladder's certified
+    # exit, which must match the dense oracle as closely as the dense route
+    # does.
     cfg = ExperimentConfig(
         scenario=SimSpec(example="ex1", s=0.1, m=3, n0=800, n_k=150, n_te=200),
         methods=METHODS,
@@ -80,15 +81,14 @@ def test_ex1_low_rank_cell(monkeypatch):
         fixed=(("a_h", 2),),
     )
     certified = []
-    real = krr.low_rank_factor
+    real = krr._ladder
 
-    def factor(*args):
-        g = real(*args)
-        if g is not None:
-            certified.append(len(args[1]))
-        return g
+    def ladder(cfg, x, y, sizes, shifts):
+        beta, solved, steps, r = real(cfg, x, y, sizes, shifts)
+        certified.extend(k for k, ok, n in zip(sizes, solved, steps) if ok and n == 0)
+        return beta, solved, steps, r
 
-    monkeypatch.setattr(krr, "low_rank_factor", factor)
+    monkeypatch.setattr(krr, "_ladder", ladder)
     _check(cfg, monkeypatch)
     assert {800, 1100} <= set(certified)
 
