@@ -186,6 +186,12 @@ class RepresenterFunction:
     evaluated. The solve's residual covers a certified fit's truncation
     too: it solved with G G' in place of K, within n tau / s relative
     (krr.fit_krr).
+
+    A call builds K(x, anchors) 64 rows at a time, gram_matrix's entries
+    bit for bit, and multiplies each block by the coefficients in one
+    dgemv; no more of the Gram is held. A row's value depends only on its
+    64-row block of x, and SciPy's OpenBLAS gives it the same bits on one
+    thread as on two.
     """
 
     anchors: NDArray[np.float64]
@@ -206,7 +212,7 @@ class RepresenterFunction:
         object.__setattr__(self, "coefficients", coef)
 
     def __call__(self, x: NDArray) -> NDArray[np.float64]:
-        return _gemv(gram_matrix(self.kernel, _as_matrix(x), self.anchors), self.coefficients)
+        return _expansion_values(self.kernel, x, self.anchors, self.coefficients)
 
 
 class _Family:
@@ -219,11 +225,8 @@ class _Family:
         for seen, values in self.kept:
             if seen is x:
                 return values
-        xm = _as_matrix(x)
-        values = np.empty((self.coef.shape[0], xm.shape[0]))
         step = max(1, _FAMILY_ENTRIES // self.anchors.shape[0] // _BLOCK_ROWS) * _BLOCK_ROWS
-        for i in range(0, xm.shape[0], step):
-            values[:, i : i + step] = _gemm(gram_matrix(self.kernel, xm[i : i + step], self.anchors), self.coef)
+        values = _expansion_values(self.kernel, x, self.anchors, self.coef, step)
         values.flags.writeable = False
         self.kept.append((x, values))
         return values
@@ -242,9 +245,10 @@ def family(fits) -> tuple[RepresenterFunction, ...]:
     """The fits, each anchored at leading rows of the widest one's anchors, as one family.
 
     A member is its fit, but a call of any member on an array evaluates them
-    all there: the Gram against the widest anchors, in row blocks of at most
-    4 MB, times the stacked zero-padded coefficients. The values are kept
-    per array, matched by identity, read-only, and within a few ulps of each
+    all there: the Gram against the widest anchors, scaled once per call,
+    in row blocks of at most 4 MB (64 rows if one is larger), each times the
+    stacked zero-padded coefficients in one dgemm. The values are kept per
+    array, matched by identity, read-only, and within a few ulps of each
     fit's own evaluation, not bit for bit. No Gram is kept.
     """
     fits = tuple(fits)
@@ -300,15 +304,17 @@ def _scaled_rows(cfg: KernelConfig, x: NDArray, centre: NDArray):
     return groups, -(u * u).sum(axis=1)
 
 
-def _kernel_block(a, rows: slice, b, cols: slice, out=None) -> NDArray[np.float64]:
+def _kernel_block(a, rows: slice, b, cols: slice, out=None, work=None) -> NDArray[np.float64]:
     # K for a's rows against b's cols, both _scaled_rows of one centre:
     # exp(min(0, -||u_i||^2 - ||u_j||^2 + 2 u_i.u_j)). The norms are summed
     # first, so (i, j) and (j, i) add the same two numbers; dgemm then adds
-    # the cross term in place, in the block's F-ordered transpose.
+    # the cross term in place, in the block's F-ordered transpose. The
+    # exponents are formed in work if given (C-ordered, at least the rows,
+    # exactly the padded columns), else in a new array.
     (groups_a, norms_a), (groups_b, norms_b) = a, b
     j0, n_cols = cols.start, cols.stop - cols.start
     padded = slice(j0, j0 + -(-n_cols // _PAD) * _PAD)
-    t = np.add.outer(norms_a[rows], norms_b[padded])
+    t = np.add.outer(norms_a[rows], norms_b[padded], out=None if work is None else work[: rows.stop - rows.start])
     for ga, gb in zip(groups_a, groups_b):
         ua, ub = ga[rows], gb[padded].T
         step = max(1, _DGEMM_MACS // ub.size)
@@ -337,6 +343,43 @@ def _gemm(k: NDArray, c: NDArray) -> NDArray[np.float64]:
     # C-ordered: row i holds expansion i's values at k's rows. One SciPy
     # dgemm on F-ordered views, as in _gemv, so nothing is copied.
     return blas.dgemm(1.0, k.T, c.T, trans_a=1).T
+
+
+def _expansion_values(
+    cfg: KernelConfig, x: NDArray, anchors: NDArray, coef: NDArray, step: int = _BLOCK_ROWS
+) -> NDArray[np.float64]:
+    # coef @ K(x, anchors).T: one expansion's values at x's rows for 1-d
+    # coef, or each stacked expansion's (coef C-ordered, one row each).
+    # The anchors are scaled once, on gram_matrix's centre, so every entry
+    # is gram_matrix's bit for bit. K is filled step rows (a multiple of
+    # _BLOCK_ROWS) at a time into one buffer, _BLOCK_ROWS rows per
+    # _kernel_block, and each step multiplied at once, so a row's value
+    # depends only on its step of x. A 64-row step's dgemv gives the same
+    # bits on one BLAS thread as on two (test_kernels.py TestRowBlocks); a
+    # wider step's dgemm can differ in the last bits.
+    # Validation and empty inputs as gram_matrix.
+    xm = _as_matrix(x)
+    if xm.shape[1] != anchors.shape[1]:
+        raise ValueError(f"covariate dimensions differ: {xm.shape[1]} vs {anchors.shape[1]}")
+    n, m = xm.shape[0], anchors.shape[0]
+    values = np.zeros(coef.shape[:-1] + (n,))
+    if n == 0 or m == 0:
+        return values
+    centre = anchors.mean(axis=0)
+    a, b, cols = _scaled_rows(cfg, xm, centre), _scaled_rows(cfg, anchors, centre), slice(0, m)
+    # The block and its exponents share one allocation. As two arrays,
+    # glibc gave them back to the OS after each call and page-faulted them
+    # afresh in the next: 2,370 minor faults per known-ex1 sweep, not 0.
+    r = min(step, n)
+    space = np.empty(r * m + _BLOCK_ROWS * -(-m // _PAD) * _PAD)
+    buffer, work = space[: r * m].reshape(r, m), space[r * m :].reshape(_BLOCK_ROWS, -1)
+    for i in range(0, n, step):
+        k = buffer[: min(step, n - i)]
+        for j in range(0, len(k), _BLOCK_ROWS):
+            rows = slice(i + j, i + min(j + _BLOCK_ROWS, len(k)))
+            _kernel_block(a, rows, b, cols, k[j : j + _BLOCK_ROWS], work)
+        values[..., i : i + len(k)] = _gemv(k, coef) if coef.ndim == 1 else _gemm(k, coef)
+    return values
 
 
 def gram_matrix(cfg: KernelConfig, x: NDArray, x2: NDArray | None = None) -> NDArray[np.float64]:

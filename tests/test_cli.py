@@ -309,12 +309,20 @@ class TestPlot:
             main(["plot", "--config", str(cfg)])
 
 
-def run_python(code):
-    """Run code in a fresh interpreter that imports tkrr from this tree."""
+def run_python(code, **env_vars):
+    """Run code in a fresh interpreter that imports tkrr from this tree.
+
+    Each keyword sets that environment variable, or unsets it if None.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(harness.__file__).parents[1]), env.get("PYTHONPATH")) if p
     )
+    for name, value in env_vars.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

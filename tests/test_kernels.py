@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -15,6 +17,7 @@ from tkrr.kernels import (
     rkhs_norm_diff,
     spd_solve,
 )
+from test_cli import run_python
 
 N_CASES = 100
 # Sizes around the row block that kernel assembly works in (64 rows), odd
@@ -433,11 +436,14 @@ class TestMatvec:
     @pytest.mark.parametrize("rows", MATVEC_SIZES)
     @pytest.mark.parametrize("anchors", MATVEC_SIZES)
     def test_evaluation_equals_numpy_matmul_bitwise(self, rows, anchors):
+        # An expansion is evaluated 64 rows at a time, each block one product.
         rng = np.random.default_rng(rows * 7919 + anchors)
         cfg = KernelConfig(bandwidth=0.5)
         f = RepresenterFunction(rng.normal(size=(anchors, 2)), rng.normal(size=anchors), cfg)
         x = rng.normal(size=(rows, 2))
-        assert np.array_equal(f(x), gram_matrix(cfg, x, f.anchors) @ f.coefficients)
+        k = gram_matrix(cfg, x, f.anchors)
+        want = np.concatenate([k[i : i + 64] @ f.coefficients for i in range(0, rows, 64)])
+        assert np.array_equal(f(x), want)
 
     def test_empty_and_single_inputs(self):
         cfg = KernelConfig()
@@ -485,6 +491,49 @@ class TestMatvec:
         assert seen == [True] * 4
 
 
+class TestRowBlocks:
+    """An expansion's Gram exists 64 rows at a time, and so do its products."""
+
+    def test_splits_at_block_boundaries_keep_the_bits(self):
+        rng = np.random.default_rng(240)
+        f = RepresenterFunction(rng.normal(size=(1700, 3)), rng.normal(size=1700), KernelConfig(0.5))
+        x = rng.normal(size=(500, 3))
+        parts = [f(x[i:j]) for i, j in [(0, 64), (64, 192), (192, 448), (448, 500)]]
+        assert np.array_equal(np.concatenate(parts), f(x))
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # A whole 500 x 1700 dgemv changes its last bits between one OpenBLAS
+        # thread and two; 64-row products do not.
+        code = """
+import numpy as np
+from tkrr.kernels import KernelConfig, RepresenterFunction
+for anchors in (1700, 3000):
+    rng = np.random.default_rng(anchors)
+    f = RepresenterFunction(rng.normal(size=(anchors, 2)), rng.normal(size=anchors), KernelConfig(0.5))
+    print(f(rng.normal(size=(500, 2))).tobytes().hex())
+"""
+        one = run_python(code, OPENBLAS_NUM_THREADS="1")
+        assert len(one.split()) == 2
+        assert run_python(code, OPENBLAS_NUM_THREADS=None) == one
+
+    def test_memory_is_one_row_block(self):
+        # 4,500 anchors on 10,000 rows: the whole Gram would be 360 MB; a
+        # 64-row block and its exponents are 2.3 MB each.
+        rng = np.random.default_rng(241)
+        cfg = KernelConfig(0.5)
+        anchors, x = rng.normal(size=(4500, 3)), rng.normal(size=(10_000, 3))
+        plain = RepresenterFunction(anchors, rng.normal(size=4500), cfg)
+        member = family([RepresenterFunction(anchors[:k], rng.normal(size=k), cfg) for k in (1500, 4500)])[1]
+        for f in (plain, member):
+            tracemalloc.start()
+            try:
+                assert f(x).shape == (10_000,)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8e6
+
+
 class TestTypes:
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
@@ -513,7 +562,7 @@ class TestFamily:
         return fits, family(fits)
 
     def test_one_gram_per_array_and_values_match(self, monkeypatch):
-        # One gram_matrix call per array, against the widest anchors; each
+        # One evaluation per array, against the widest anchors; each
         # member's values are its own evaluation within 1e-13 relative, are
         # read-only, and are read back for the same array. An equal copy
         # is another array.
@@ -523,8 +572,8 @@ class TestFamily:
         x = rng.normal(size=(90, 2))
         wants = [RepresenterFunction(f.anchors, f.coefficients, cfg)(x) for f in fits]
         grams = []
-        real = kernels.gram_matrix
-        monkeypatch.setattr(kernels, "gram_matrix", lambda c, x, x2=None: grams.append(x2.shape) or real(c, x, x2))
+        real = kernels._expansion_values
+        monkeypatch.setattr(kernels, "_expansion_values", lambda c, x, a, *r: grams.append(a.shape) or real(c, x, a, *r))
         for f, member, want in zip(fits, members, wants):
             got = member(x)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -544,8 +593,8 @@ class TestFamily:
         wants = [RepresenterFunction(f.anchors, f.coefficients, cfg)(x) for f in fits]
         monkeypatch.setattr(kernels, "_FAMILY_ENTRIES", 128 * 120)
         grams = []
-        real = kernels.gram_matrix
-        monkeypatch.setattr(kernels, "gram_matrix", lambda c, x, x2=None: grams.append(len(x)) or real(c, x, x2))
+        real = kernels._gemm
+        monkeypatch.setattr(kernels, "_gemm", lambda k, c: grams.append(len(k)) or real(k, c))
         for member, want in zip(members, wants):
             assert np.max(np.abs(member(x) - want)) <= 1e-13 * np.max(np.abs(want))
         assert grams == [128, 128, 44]
